@@ -255,6 +255,8 @@ def _write_labels(path: str, labelling: Labelling) -> None:
 
 
 def cmd_run(args) -> int:
+    if args.workers is not None and args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     sections = read_config(args.config)
     spc_kwargs = coerce_section("spc", sections.get("spc", {}), _spc_defaults())
     if args.seed is not None:
@@ -482,7 +484,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--dataset", choices=("blobs", "idx"), default="blobs")
     run.add_argument("--images", default=None, help="IDX image file for --dataset idx")
     run.add_argument("--labels", default=None, help="optional IDX label file")
-    run.add_argument("--workers", type=int, default=None, help="thread count (default: cores)")
+    run.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="member threads, >= 1 (default: min(n_members, cores)); outputs do not depend on it",
+    )
     run.add_argument("--seed", type=int, default=None, help="override [spc] master_seed")
     run.set_defaults(func=cmd_run)
 

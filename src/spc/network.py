@@ -31,7 +31,10 @@ _ACTIVATIONS = ("leaky_relu", "tanh", "identity", "softmax")
 
 def _apply_activation(z: np.ndarray, kind: str) -> np.ndarray:
     if kind == "leaky_relu":
-        return np.where(z > 0.0, z, LEAKY_SLOPE * z)
+        # max(z, s z) for 0 < s < 1 is z where z > 0 and s z elsewhere, bit for
+        # bit (signed zeros, infinities and NaN too); in place to save a buffer
+        a = LEAKY_SLOPE * z
+        return np.maximum(z, a, out=a)
     if kind == "tanh":
         return np.tanh(z)
     if kind == "identity":
@@ -46,7 +49,13 @@ def _apply_activation(z: np.ndarray, kind: str) -> np.ndarray:
 def _activation_backward(grad_a: np.ndarray, z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
     """Pull a gradient back through an activation: dL/da -> dL/dz."""
     if kind == "leaky_relu":
-        return grad_a * np.where(z > 0.0, 1.0, LEAKY_SLOPE)
+        # the slope factor is exactly 1.0 or LEAKY_SLOPE: for 0 < s <= 1/2,
+        # (1 - s) + s rounds to 1.0.  Arithmetic instead of a select on z > 0
+        # gives the same bits several times faster.
+        factor = (z > 0.0) * (1.0 - LEAKY_SLOPE)
+        factor += LEAKY_SLOPE
+        factor *= grad_a
+        return factor
     if kind == "tanh":
         return grad_a * (1.0 - a * a)
     if kind == "identity":
@@ -90,22 +99,30 @@ class Mlp:
     def forward(self, x: np.ndarray, cache: list | None = None) -> np.ndarray:
         a = x
         for l in range(self.n_layers):
-            z = a @ self.weights[l].T + self.biases[l]
+            z = a @ self.weights[l].T
+            z += self.biases[l]
             a_next = _apply_activation(z, self._activation_of(l))
             if cache is not None:
                 cache.append((a, z, a_next))
             a = a_next
         return a
 
-    def backward(self, cache: list, grad_out: np.ndarray):
-        """Given dL/d(output), return ([(dW, db) per layer], dL/d(input))."""
-        grads = [None] * self.n_layers
+    def backward(
+        self, cache: list, grad_out: np.ndarray, param_grads: bool = True, input_grad: bool = True
+    ):
+        """Given dL/d(output), return ([(dW, db) per layer], dL/d(input)).
+
+        param_grads=False skips the weight gradients and input_grad=False the
+        gradient w.r.t. the input; each part skipped is returned as None.
+        """
+        grads = [None] * self.n_layers if param_grads else None
         g = grad_out
         for l in range(self.n_layers - 1, -1, -1):
             x_in, z, a = cache[l]
             gz = _activation_backward(g, z, a, self._activation_of(l))
-            grads[l] = (gz.T @ x_in, gz.sum(axis=0))
-            g = gz @ self.weights[l]
+            if param_grads:
+                grads[l] = (gz.T @ x_in, gz.sum(axis=0))
+            g = gz @ self.weights[l] if l > 0 or input_grad else None
         return grads, g
 
     def zero_grads(self):
@@ -114,25 +131,23 @@ class Mlp:
 
 @dataclass
 class GradientUpdate:
-    """Per-parameter gradients for one member, plus the step size to apply."""
+    """Per-parameter gradients for one member, plus the step size to apply.
+
+    decoder_grads is None for a step that leaves the decoder frozen.
+    """
 
     encoder_grads: list
-    decoder_grads: list
+    decoder_grads: list | None
     classifier_grads: list
     learning_rate: float
 
     def __post_init__(self):
         if not self.learning_rate >= 0:
             raise SpcError("learning_rate must be non-negative")
-        for grads in (self.encoder_grads, self.decoder_grads, self.classifier_grads):
+        for grads in (self.encoder_grads, self.decoder_grads or [], self.classifier_grads):
             for dw, db in grads:
                 if not (np.isfinite(dw).all() and np.isfinite(db).all()):
                     raise NumericError("non-finite gradient entries")
-
-    def without_decoder(self) -> "GradientUpdate":
-        """Copy with decoder gradients zeroed: trains f and h only."""
-        zeroed = [(np.zeros_like(dw), np.zeros_like(db)) for dw, db in self.decoder_grads]
-        return GradientUpdate(self.encoder_grads, zeroed, self.classifier_grads, self.learning_rate)
 
 
 class AutoencoderMember:
@@ -196,6 +211,64 @@ class AutoencoderMember:
 
     # ---- loss with cached forward ----
 
+    def _targets(self, consensus_labels, agreement_flags, n_rows: int):
+        """Validated (labels, agreed mask) for a batch of n_rows points."""
+        labels = np.asarray(consensus_labels, dtype=np.int64)
+        flags = np.asarray(agreement_flags, dtype=np.int64)
+        if labels.shape != (n_rows,) or flags.shape != (n_rows,):
+            raise DataError("labels and flags must match the batch length")
+        if not ((flags == 0) | (flags == 1)).all():
+            raise DataError("agreement flags must be 0 or 1")
+        agreed = flags == 1
+        if agreed.any() and (labels[agreed].min() < 0 or labels[agreed].max() >= self.n_clusters):
+            raise DataError("consensus labels of agreed points must lie in {0..C-1}")
+        return labels, agreed
+
+    def _head_loss(
+        self, latent, batch, labels, agreed, recon_weight, dec_cache=None, cls_cache=None
+    ):
+        """The loss of the decoder and classifier heads on given latent codes.
+
+        Returns (loss, rec, probs).  The classifier only runs when some point
+        is agreed; otherwise probs is None.
+        """
+        rec = self.decoder.forward(latent, cache=dec_cache)
+        probs = self.classifier.forward(latent, cache=cls_cache) if agreed.any() else None
+        if not (np.isfinite(rec).all() and np.isfinite(latent if probs is None else probs).all()):
+            raise NumericError("non-finite activations in forward pass")
+
+        B, n = batch.shape[0], self.input_dim
+        per_point = np.zeros(B)
+        if probs is not None:
+            p_t = probs[agreed, labels[agreed]]
+            per_point[agreed] = -np.log(np.maximum(p_t, CE_CLAMP))
+        if (~agreed).any():
+            diff = rec[~agreed] - batch[~agreed]
+            per_point[~agreed] = recon_weight * np.abs(diff).sum(axis=1) / n
+        return float(per_point.sum() / B), rec, probs
+
+    def latent_loss(
+        self,
+        latent: np.ndarray,
+        batch: np.ndarray,
+        consensus_labels: np.ndarray,
+        agreement_flags: np.ndarray,
+        recon_weight: float = 1.0,
+    ) -> float:
+        """forward_loss of a batch whose latent codes are given; caches nothing.
+
+        With latent = encode(batch) this equals forward_loss(batch, ...) bitwise.
+        """
+        batch = np.asarray(batch, dtype=np.float64)
+        latent = np.asarray(latent, dtype=np.float64)
+        if batch.ndim != 2 or batch.shape[1] != self.input_dim:
+            raise DataError(f"batch must be (B, {self.input_dim}), got {batch.shape}")
+        B = batch.shape[0]
+        if latent.shape != (B, self.latent_dim):
+            raise DataError(f"latent must be ({B}, {self.latent_dim}), got {latent.shape}")
+        labels, agreed = self._targets(consensus_labels, agreement_flags, batch.shape[0])
+        return self._head_loss(latent, batch, labels, agreed, recon_weight)[0]
+
     def forward_loss(
         self,
         batch: np.ndarray,
@@ -210,40 +283,18 @@ class AutoencoderMember:
         Returns (1/B) * [ sum_{a_i=1} CE_i + w * sum_{a_i=0} (1/n) |rec_i - x_i|_1 ].
         """
         batch = np.asarray(batch, dtype=np.float64)
-        labels = np.asarray(consensus_labels, dtype=np.int64)
-        flags = np.asarray(agreement_flags, dtype=np.int64)
-        B = batch.shape[0]
-        if labels.shape != (B,) or flags.shape != (B,):
-            raise DataError("labels and flags must match the batch length")
-        if not np.isin(flags, (0, 1)).all():
-            raise DataError("agreement flags must be 0 or 1")
-        agreed = flags == 1
-        if agreed.any() and (labels[agreed].min() < 0 or labels[agreed].max() >= self.n_clusters):
-            raise DataError("consensus labels of agreed points must lie in {0..C-1}")
+        labels, agreed = self._targets(consensus_labels, agreement_flags, batch.shape[0])
 
         enc_cache: list = []
         latent = self.encoder.forward(batch, cache=enc_cache)
-        noise = None
         if train_mode and self.noise_stddev > 0:
             noise_rng = np.random.default_rng(noise_seed)
-            noise = self.noise_stddev * noise_rng.standard_normal(latent.shape)
-            latent = latent + noise
+            latent = latent + self.noise_stddev * noise_rng.standard_normal(latent.shape)
         dec_cache: list = []
-        rec = self.decoder.forward(latent, cache=dec_cache)
         cls_cache: list = []
-        probs = self.classifier.forward(latent, cache=cls_cache)
-        if not (np.isfinite(rec).all() and np.isfinite(probs).all()):
-            raise NumericError("non-finite activations in forward pass")
-
-        n = self.input_dim
-        per_point = np.zeros(B)
-        if agreed.any():
-            p_t = probs[agreed, labels[agreed]]
-            per_point[agreed] = -np.log(np.maximum(p_t, CE_CLAMP))
-        if (~agreed).any():
-            diff = rec[~agreed] - batch[~agreed]
-            per_point[~agreed] = recon_weight * np.abs(diff).sum(axis=1) / n
-        loss = float(per_point.sum() / B)
+        loss, rec, probs = self._head_loss(
+            latent, batch, labels, agreed, recon_weight, dec_cache, cls_cache
+        )
 
         self._cache = {
             "batch": batch,
@@ -253,14 +304,19 @@ class AutoencoderMember:
             "enc_cache": enc_cache,
             "dec_cache": dec_cache,
             "cls_cache": cls_cache,
-            "latent": latent,
             "rec": rec,
             "probs": probs,
         }
         return loss
 
-    def backward(self, learning_rate: float = 1e-3) -> GradientUpdate:
-        """Exact gradients of the last forward_loss w.r.t. every parameter."""
+    def backward(self, learning_rate: float = 1e-3, train_decoder: bool = True) -> GradientUpdate:
+        """Exact gradients of the last forward_loss w.r.t. every parameter.
+
+        train_decoder=False computes no decoder gradients (decoder_grads is
+        None), so sgd_step leaves the decoder as it is.  When no point of the
+        batch is agreed the classifier gradients are exactly zero and are
+        returned as zeros without running the classifier backward.
+        """
         if self._cache is None:
             raise SpcError("backward requires a cached forward pass; call forward_loss first")
         c = self._cache
@@ -268,25 +324,30 @@ class AutoencoderMember:
         B, n = batch.shape
         w = c["recon_weight"]
 
-        # classifier branch: dL/dprobs, nonzero only on agreed rows
-        probs = c["probs"]
-        grad_probs = np.zeros_like(probs)
-        if agreed.any():
-            p_t = probs[agreed, labels[agreed]]
-            live = p_t > CE_CLAMP  # clamped rows have locally constant loss
-            rows = np.flatnonzero(agreed)[live]
-            grad_probs[rows, labels[rows]] = -1.0 / (B * probs[rows, labels[rows]])
-        cls_grads, grad_latent_cls = self.classifier.backward(c["cls_cache"], grad_probs)
-
         # decoder branch: dL/drec = w/(B n) sign(diff), nonzero only on non-agreed rows
         grad_rec = np.zeros_like(c["rec"])
         if (~agreed).any():
             diff = c["rec"][~agreed] - batch[~agreed]
             grad_rec[~agreed] = (w / (B * n)) * np.sign(diff)
-        dec_grads, grad_latent_dec = self.decoder.backward(c["dec_cache"], grad_rec)
+        dec_grads, grad_latent = self.decoder.backward(
+            c["dec_cache"], grad_rec, param_grads=train_decoder
+        )
+
+        # classifier branch: dL/dprobs, nonzero only on agreed rows
+        probs = c["probs"]
+        if probs is None:
+            cls_grads = self.classifier.zero_grads()
+        else:
+            grad_probs = np.zeros_like(probs)
+            p_t = probs[agreed, labels[agreed]]
+            live = p_t > CE_CLAMP  # clamped rows have locally constant loss
+            rows = np.flatnonzero(agreed)[live]
+            grad_probs[rows, labels[rows]] = -1.0 / (B * probs[rows, labels[rows]])
+            cls_grads, grad_latent_cls = self.classifier.backward(c["cls_cache"], grad_probs)
+            grad_latent = grad_latent_cls + grad_latent
 
         # additive noise has zero jacobian w.r.t. parameters: gradients pass through
-        enc_grads, _ = self.encoder.backward(c["enc_cache"], grad_latent_cls + grad_latent_dec)
+        enc_grads, _ = self.encoder.backward(c["enc_cache"], grad_latent, input_grad=False)
         return GradientUpdate(enc_grads, dec_grads, cls_grads, learning_rate)
 
     def sgd_step(self, update: GradientUpdate) -> None:
@@ -297,6 +358,8 @@ class AutoencoderMember:
             (self.decoder, update.decoder_grads),
             (self.classifier, update.classifier_grads),
         ):
+            if grads is None:
+                continue
             if len(grads) != mlp.n_layers:
                 raise SpcError("gradient layer count does not match member")
             for l, (dw, db) in enumerate(grads):
@@ -413,23 +476,27 @@ def combined_loss(
     consensus_labels: np.ndarray,
     agreement_flags: np.ndarray,
     recon_weight: float = 1.0,
+    latents: list | None = None,
+    run_all=None,
 ) -> float:
     """Eq-style double sum over points and members, evaluated noise-free.
 
     Equals sum over members of each member's forward_loss, so with all flags
     zero it reduces to the sum of per-member l1 reconstruction losses.
+    latents[j], when given, must be members[j].encode(batch) and saves
+    encoding the batch again.  run_all, when given, runs the list of
+    per-member closures (in a thread pool, say) and returns their results in
+    order; the sum is taken in member order either way.
     """
     if not members:
         raise DataError("need at least one member")
-    return float(
-        sum(
-            m.forward_loss(
-                batch,
-                consensus_labels,
-                agreement_flags,
-                train_mode=False,
-                recon_weight=recon_weight,
-            )
-            for m in members
-        )
-    )
+    if latents is None:
+        latents = [m.encode(batch) for m in members]
+    if len(latents) != len(members):
+        raise DataError("need one latent array per member")
+    tasks = [
+        lambda m=m, z=z: m.latent_loss(z, batch, consensus_labels, agreement_flags, recon_weight)
+        for m, z in zip(members, latents)
+    ]
+    losses = run_all(tasks) if run_all is not None else [task() for task in tasks]
+    return float(sum(losses))

@@ -12,8 +12,12 @@ labelling.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import logging
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -149,14 +153,81 @@ def build_members(dataset: Dataset, config: SpcConfig) -> list:
     return members
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None.
+
+    numpy has already loaded the library, so opening it again by path returns
+    the same handle and the calls act on the BLAS that numpy uses.
+    """
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "")):
+            try:
+                get = getattr(lib, f"{prefix}get_num_threads{suffix}")
+                set_ = getattr(lib, f"{prefix}set_num_threads{suffix}")
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+class _SingleBlasThread:
+    """Context manager that holds BLAS at one thread while any holder is inside.
+
+    BLAS threads started inside each of the fan-out's worker threads
+    oversubscribe the cores; the worker threads are the parallelism.  The
+    thread count is process-wide, so concurrent holders share one count: the
+    first to enter saves the old count and the last to leave restores it.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._holders = 0
+        self._saved = None
+
+    def __enter__(self):
+        blas = _openblas_threads()
+        if blas is not None:
+            with self._lock:
+                if self._holders == 0:
+                    self._saved = blas[0]()
+                    blas[1](1)
+                self._holders += 1
+        return self
+
+    def __exit__(self, *exc):
+        blas = _openblas_threads()
+        if blas is not None:
+            with self._lock:
+                self._holders -= 1
+                if self._holders == 0:
+                    blas[1](self._saved)
+        return False
+
+
+_single_blas_thread = _SingleBlasThread()
+
+
 def _fan_out(tasks: list, workers: int | None) -> list:
-    """Run the closures, possibly in a thread pool; results in task order."""
+    """Run the closures, possibly in a thread pool; results in task order.
+
+    With more than one worker thread BLAS runs single-threaded meanwhile.
+    Outputs do not depend on either thread count; the tests compare runs at
+    different worker counts byte for byte.
+    """
     if workers is None:
         workers = min(len(tasks), os.cpu_count() or 1)
     workers = max(1, min(workers, len(tasks)))
     if workers == 1:
         return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with _single_blas_thread, ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(task) for task in tasks]
         return [f.result() for f in futures]
 
@@ -197,10 +268,7 @@ def train_epoch(
             noise_seed=noise_seed,
             recon_weight=config.recon_weight,
         )
-        update = member.backward(learning_rate)
-        if freeze_decoder:
-            update = update.without_decoder()
-        member.sgd_step(update)
+        member.sgd_step(member.backward(learning_rate, train_decoder=not freeze_decoder))
         total += loss * idx.shape[0]
     return total / n
 
@@ -364,7 +432,13 @@ def spc_train(
             result = _rename_to_previous(result, previous.consensus_labels, C)
         flags = result.agreement.astype(np.int64)
         mean_loss = combined_loss(
-            members, points, result.consensus_labels, flags, config.recon_weight
+            members,
+            points,
+            result.consensus_labels,
+            flags,
+            config.recon_weight,
+            latents=[lat for lat, _ in outcomes],
+            run_all=lambda tasks: _fan_out(tasks, workers),
         ) / len(members)
         agreed_acc = overall_acc = None
         if dataset.labels is not None:

@@ -226,6 +226,15 @@ def test_run_invalid_config_value_exits_1(tmp_path):
     assert main(["run", "--config", cfg, "--out", run_dir(tmp_path)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_run_workers_below_one_exits_1(tmp_path, workers):
+    cfg = write(tmp_path / "c.ini", SMALL_INI)
+    out = run_dir(tmp_path)
+    assert main(["run", "--config", cfg, "--out", out, "--workers", workers]) == EXIT_CONFIG
+    assert not os.path.exists(out)
+    assert no_stage_leftovers(tmp_path)
+
+
 def test_run_existing_out_dir_exits_1(tmp_path):
     cfg = write(tmp_path / "c.ini", SMALL_INI)
     out = tmp_path / "occupied"

@@ -13,6 +13,7 @@ from spc.network import (
     load_member,
     save_member,
 )
+from spc.network import _activation_backward, _apply_activation
 
 
 def small_member(seed=0, noise=0.0):
@@ -456,16 +457,93 @@ def test_gradient_update_rejects_non_finite():
         GradientUpdate(grads, m.decoder.zero_grads(), m.classifier.zero_grads(), 0.1)
 
 
-def test_without_decoder_zeroes_decoder_only():
+def test_frozen_decoder_backward_skips_decoder_only():
     rng = np.random.default_rng(24)
     m = small_member(seed=47)
     batch = rand_batch(rng, b=4)
     m.forward_loss(batch, np.zeros(4, dtype=int), np.zeros(4, dtype=int))
     upd = m.backward()
-    frozen = upd.without_decoder()
-    assert all(np.all(dw == 0) and np.all(db == 0) for dw, db in frozen.decoder_grads)
+    frozen = m.backward(train_decoder=False)
+    assert frozen.decoder_grads is None
     for g1, g2 in zip(upd.encoder_grads, frozen.encoder_grads):
         assert np.array_equal(g1[0], g2[0])
+        assert np.array_equal(g1[1], g2[1])
+
+
+def params(mlp):
+    return [a.copy() for a in mlp.weights + mlp.biases]
+
+
+def same_bits(xs, ys):
+    return len(xs) == len(ys) and all(x.tobytes() == y.tobytes() for x, y in zip(xs, ys))
+
+
+def test_frozen_decoder_step_matches_full_step_without_decoder_update():
+    rng = np.random.default_rng(26)
+    batch = rand_batch(rng, b=6)
+    labels = np.array([0, 2, 1, 1, 0, 2])
+    flags = np.array([1, 0, 1, 0, 0, 1])
+    frozen, full = small_member(seed=49, noise=0.2), small_member(seed=49, noise=0.2)
+    decoder_before = params(frozen.decoder)
+    for m in (frozen, full):
+        m.forward_loss(batch, labels, flags, train_mode=True, noise_seed=3)
+    frozen.sgd_step(frozen.backward(0.05, train_decoder=False))
+    upd = full.backward(0.05)
+    full.sgd_step(GradientUpdate(upd.encoder_grads, None, upd.classifier_grads, 0.05))
+    assert same_bits(params(frozen.decoder), decoder_before)
+    assert same_bits(params(frozen.decoder), params(full.decoder))
+    assert same_bits(params(frozen.encoder), params(full.encoder))
+    assert same_bits(params(frozen.classifier), params(full.classifier))
+
+
+@pytest.mark.parametrize("train_decoder", [True, False])
+def test_step_without_agreed_points_leaves_classifier_untouched(train_decoder):
+    rng = np.random.default_rng(27)
+    m = small_member(seed=50)
+    before = params(m.classifier)
+    batch = rand_batch(rng, b=5)
+    m.forward_loss(batch, rng.integers(0, 3, size=5), np.zeros(5, dtype=int))
+    upd = m.backward(0.1, train_decoder=train_decoder)
+    for dw, db in upd.classifier_grads:
+        assert not dw.any() and not db.any()
+    m.sgd_step(upd)
+    assert same_bits(params(m.classifier), before)
+
+
+def test_leaky_relu_matches_select_oracle_bitwise():
+    rng = np.random.default_rng(28)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-310, -1e-310])
+    z = np.concatenate([special, rng.standard_normal(200) * 10])
+    grid_z, grid_g = (a.reshape(-1) for a in np.meshgrid(z, z))
+    forward = _apply_activation(z, "leaky_relu")
+    assert forward.tobytes() == np.where(z > 0.0, z, 0.01 * z).tobytes()
+    backward = _activation_backward(grid_g, grid_z, None, "leaky_relu")
+    oracle = grid_g * np.where(grid_z > 0.0, 1.0, 0.01)
+    assert backward.tobytes() == oracle.tobytes()
+
+
+def test_latent_loss_equals_forward_loss_and_caches_nothing():
+    rng = np.random.default_rng(29)
+    members = [small_member(seed=s) for s in (51, 52, 53)]
+    batch = rand_batch(rng, b=7)
+    labels = rng.integers(0, 3, size=7)
+    for flags in (np.zeros(7, dtype=int), np.ones(7, dtype=int), rng.integers(0, 2, size=7)):
+        latents = [m.encode(batch) for m in members]
+        for m, z in zip(members, latents):
+            assert m.latent_loss(z, batch, labels, flags, 0.7) == m.forward_loss(
+                batch, labels, flags, recon_weight=0.7
+            )
+            m.sgd_step(m.backward(0.0))
+        in_order = lambda tasks: [task() for task in tasks]
+        reused = combined_loss(members, batch, labels, flags, 0.7, latents=latents, run_all=in_order)
+        assert reused == combined_loss(members, batch, labels, flags, 0.7)
+        for m in members:
+            with pytest.raises(SpcError, match="forward"):
+                m.backward()
+    with pytest.raises(DataError):
+        members[0].latent_loss(latents[0][:, :2], batch, labels, flags)
+    with pytest.raises(DataError):
+        members[0].latent_loss(latents[0], batch[:, :3], labels, flags)
 
 
 # ---- checkpointing ----

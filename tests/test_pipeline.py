@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -14,7 +17,9 @@ from spc.pipeline import (
     pretrain,
     spc_train,
     train_epoch,
+    _fan_out,
     _member_streams,
+    _openblas_threads,
     _rename_to_previous,
 )
 
@@ -408,6 +413,62 @@ def test_spc_train_reproducible_across_worker_counts():
         assert a.n_agreed == b.n_agreed
         assert a.mean_loss == b.mean_loss
         assert a.overall_accuracy == b.overall_accuracy
+
+
+@pytest.fixture
+def blas_at_two_threads():
+    """(get, set) of the bundled OpenBLAS thread count, set to 2 for the test."""
+    blas = _openblas_threads()
+    if blas is None:
+        pytest.skip("numpy's bundled OpenBLAS not found")
+    get, set_ = blas
+    saved = get()
+    set_(2)
+    try:
+        yield get, set_
+    finally:
+        set_(saved)
+
+
+def test_fan_out_pins_blas_to_one_thread_and_restores(blas_at_two_threads):
+    get, _ = blas_at_two_threads
+    assert get() == 2
+    assert _fan_out([get, get, get], workers=2) == [1, 1, 1]
+    assert get() == 2
+    # a single worker runs inline and leaves BLAS alone
+    assert _fan_out([get, get], workers=1) == [2, 2]
+
+
+def test_fan_out_restores_blas_after_a_failing_task(blas_at_two_threads):
+    get, _ = blas_at_two_threads
+
+    def boom():
+        raise DataError("task failed")
+
+    with pytest.raises(DataError):
+        _fan_out([get, boom], workers=2)
+    assert get() == 2
+
+
+def test_concurrent_fan_outs_keep_blas_pinned_until_the_last_ends(blas_at_two_threads):
+    get, _ = blas_at_two_threads
+    seen = []
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [
+            threading.Thread(target=lambda: seen.extend(_fan_out([get] * 4, workers=3)))
+            for _ in range(6)
+        ]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in callers)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert seen == [1] * 24
+    assert get() == 2
 
 
 def test_spc_train_rejects_unnormalized_points():
