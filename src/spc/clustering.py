@@ -14,6 +14,11 @@ import numpy as np
 from .errors import DataError, NumericError
 
 LOG_2PI = np.log(2.0 * np.pi)
+KMEANS_MAX_ITERS = 100  # Lloyd iterations per restart
+KMEANS_N_INIT = 10  # k-means++ seeded restarts per fit
+GMM_MAX_ITERS = 100  # EM steps
+GMM_TOL = 1e-6  # EM stops once the log-likelihood gains less than this
+GMM_REG_EPSILON = 1e-6  # floor on every variance
 
 
 @dataclass(frozen=True)
@@ -85,14 +90,18 @@ def _kmeanspp_seed(x: np.ndarray, C: int, rng: np.random.Generator) -> np.ndarra
     return centroids
 
 
-def _lloyd(x: np.ndarray, C: int, rng: np.random.Generator, max_iters: int, trace: list):
-    """One k-means++ seeded Lloyd run to an assignment fixpoint."""
+def _lloyd(x: np.ndarray, C: int, rng: np.random.Generator):
+    """One k-means++ seeded Lloyd run to an assignment fixpoint.
+
+    Returns (trace, centroids, assign); trace holds the inertia after each
+    assignment step, so trace[-1] is that of the returned assignment.
+    """
     N = x.shape[0]
     centroids = _kmeanspp_seed(x, C, rng)
     prev = None
     assign = None
-    inertia = np.inf
-    for _ in range(max_iters):
+    trace = []
+    for _ in range(KMEANS_MAX_ITERS):
         d2 = _sq_dists(x, centroids)
         assign = d2.argmin(axis=1)
         own = d2[np.arange(N), assign]
@@ -103,8 +112,7 @@ def _lloyd(x: np.ndarray, C: int, rng: np.random.Generator, max_iters: int, trac
                 d2[:, c] = ((x - centroids[c]) ** 2).sum(axis=1)
                 assign = d2.argmin(axis=1)
                 own = d2[np.arange(N), assign]
-        inertia = float(own.sum())
-        trace.append(inertia)
+        trace.append(float(own.sum()))
         if prev is not None and np.array_equal(assign, prev):
             break
         prev = assign
@@ -112,24 +120,16 @@ def _lloyd(x: np.ndarray, C: int, rng: np.random.Generator, max_iters: int, trac
             members = assign == c
             if members.any():
                 centroids[c] = x[members].mean(axis=0)
-    return inertia, centroids, assign
+    return trace, centroids, assign
 
 
-def kmeans_fit(
-    latents: np.ndarray,
-    C: int,
-    seed: int,
-    max_iters: int = 100,
-    trace: list | None = None,
-    n_init: int = 10,
-):
-    """Lloyd's algorithm, best of n_init k-means++ seeded restarts.
+def kmeans_fit(latents: np.ndarray, C: int, seed: int):
+    """Lloyd's algorithm, best of KMEANS_N_INIT k-means++ seeded restarts.
 
-    Each restart runs to an assignment fixpoint or max_iters and the solution
-    with the lowest inertia wins (first found on ties).  Clusters left empty
-    by an assignment step are reseeded to the point currently farthest from
-    its own centroid, which strictly lowers inertia.  Appends the winning
-    restart's per-iteration inertia to ``trace`` when given.
+    Each restart runs to an assignment fixpoint or KMEANS_MAX_ITERS and the
+    solution with the lowest inertia wins (first found on ties).  Clusters
+    left empty by an assignment step are reseeded to the point currently
+    farthest from its own centroid, which strictly lowers inertia.
     """
     x = np.asarray(latents, dtype=np.float64)
     if x.ndim != 2:
@@ -137,17 +137,12 @@ def kmeans_fit(
     N = x.shape[0]
     if N < C:
         raise DataError(f"need at least {C} points, got {N}")
-    if n_init < 1:
-        raise DataError("n_init must be >= 1")
     rng = np.random.default_rng(seed)
     best = None
-    for _ in range(n_init):
-        local_trace: list = []
-        inertia, centroids, assign = _lloyd(x, C, rng, max_iters, local_trace)
-        if best is None or inertia < best[0]:
-            best = (inertia, centroids, assign, local_trace)
-    if trace is not None:
-        trace.extend(best[3])
+    for _ in range(KMEANS_N_INIT):
+        trace, centroids, assign = _lloyd(x, C, rng)
+        if best is None or trace[-1] < best[0]:
+            best = (trace[-1], centroids, assign)
     return best[1], Labelling(labels=best[2], n_clusters=C)
 
 
@@ -163,24 +158,16 @@ def _log_prob(x: np.ndarray, model_weights, means, covariances) -> np.ndarray:
     return np.log(model_weights) - 0.5 * (m * LOG_2PI + log_det + mahal)
 
 
-def gmm_fit(
-    latents: np.ndarray,
-    C: int,
-    seed: int,
-    max_iters: int = 100,
-    tol: float = 1e-6,
-    reg_epsilon: float = 1e-6,
-) -> GmmModel:
+def gmm_fit(latents: np.ndarray, C: int, seed: int) -> GmmModel:
     """EM for a diagonal-covariance mixture, initialized from k-means.
 
-    Stops when the log-likelihood gain drops below tol or after max_iters EM
-    steps.  Variances are floored at reg_epsilon every M step.
+    Stops when the log-likelihood gain drops below GMM_TOL or after
+    GMM_MAX_ITERS EM steps.  Variances are floored at GMM_REG_EPSILON at
+    initialization and in every M step.
     """
     x = np.asarray(latents, dtype=np.float64)
     if x.ndim != 2:
         raise DataError(f"latents must be 2-d, got shape {x.shape}")
-    if reg_epsilon <= 0:
-        raise DataError("reg_epsilon must be strictly positive")
     N, m = x.shape
     if N < C:
         raise DataError(f"need at least {C} points, got {N}")
@@ -192,12 +179,14 @@ def gmm_fit(
     for c in range(C):
         mask = labelling.labels == c
         weights[c] = mask.mean()
-        covariances[c] = np.maximum(x[mask].var(axis=0), reg_epsilon) if mask.any() else reg_epsilon
+        covariances[c] = (
+            np.maximum(x[mask].var(axis=0), GMM_REG_EPSILON) if mask.any() else GMM_REG_EPSILON
+        )
     weights = np.maximum(weights, 1e-12)
     weights /= weights.sum()
 
     trace: list = []
-    for it in range(max_iters):
+    for it in range(GMM_MAX_ITERS):
         log_joint = _log_prob(x, weights, means, covariances)
         lse = np.logaddexp.reduce(log_joint, axis=1)
         resp = np.exp(log_joint - lse[:, None])
@@ -205,7 +194,7 @@ def gmm_fit(
             raise NumericError("non-finite responsibility", iteration=it)
         ll = float(lse.sum())
         trace.append(ll)
-        if len(trace) >= 2 and ll - trace[-2] < tol:
+        if len(trace) >= 2 and ll - trace[-2] < GMM_TOL:
             break
         nc = resp.sum(axis=0)
         if (nc <= 0).any() or not np.isfinite(nc).all():
@@ -213,7 +202,7 @@ def gmm_fit(
         weights = nc / N
         means = (resp.T @ x) / nc[:, None]
         second = (resp.T @ (x**2)) / nc[:, None]
-        covariances = np.maximum(second - means**2, reg_epsilon)
+        covariances = np.maximum(second - means**2, GMM_REG_EPSILON)
     return GmmModel(
         weights=weights, means=means, covariances=covariances, log_likelihood_trace=trace
     )
@@ -229,22 +218,3 @@ def gmm_predict(model: GmmModel, latents: np.ndarray) -> Labelling:
         )
     log_joint = _log_prob(x, model.weights, model.means, model.covariances)
     return Labelling(labels=log_joint.argmax(axis=1), n_clusters=model.n_components)
-
-
-def gmm_state(model: GmmModel, prefix: str = "") -> dict:
-    """Flat array dict for saving alongside network checkpoints."""
-    return {
-        prefix + "weights": model.weights,
-        prefix + "means": model.means,
-        prefix + "covariances": model.covariances,
-        prefix + "ll_trace": np.asarray(model.log_likelihood_trace, dtype=np.float64),
-    }
-
-
-def gmm_from_state(state, prefix: str = "") -> GmmModel:
-    return GmmModel(
-        weights=np.asarray(state[prefix + "weights"], dtype=np.float64),
-        means=np.asarray(state[prefix + "means"], dtype=np.float64),
-        covariances=np.asarray(state[prefix + "covariances"], dtype=np.float64),
-        log_likelihood_trace=[float(v) for v in np.asarray(state[prefix + "ll_trace"])],
-    )

@@ -110,6 +110,20 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
     return perm
 
 
+def _cooccurrence(rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int) -> np.ndarray:
+    """Float64 table t[r, c] = #{i : rows[i] = r and cols[i] = c}."""
+    counts = np.bincount(rows * n_cols + cols, minlength=n_rows * n_cols)
+    return counts.reshape(n_rows, n_cols).astype(np.float64)
+
+
+def _matching(labels: np.ndarray, reference: np.ndarray, n_clusters: int) -> np.ndarray:
+    """Permutation perm of the ids {0..C-1} maximizing #{i : perm[labels[i]] = reference[i]}.
+
+    Ties go to the lexicographically smallest perm (see ``hungarian``).
+    """
+    return hungarian(-_cooccurrence(labels, reference, n_clusters, n_clusters))
+
+
 @dataclass(frozen=True)
 class ConsensusResult:
     """Aligned ensemble labels with per-point unanimity flags."""
@@ -136,9 +150,7 @@ def align(reference: Labelling, other: Labelling) -> Labelling:
     if other.n_clusters != reference.n_clusters:
         raise DataError("labellings must use the same number of clusters")
     C = reference.n_clusters
-    co = np.zeros((C, C), dtype=np.float64)
-    np.add.at(co, (other.labels, reference.labels), 1.0)
-    perm = hungarian(-co)
+    perm = _matching(other.labels, reference.labels, C)
     return Labelling(labels=perm[other.labels], n_clusters=C)
 
 
@@ -174,9 +186,7 @@ def accuracy(predicted: Labelling, truth: Labelling) -> float:
     if predicted.n_points != truth.n_points:
         raise DataError("labellings must cover the same points")
     C = max(predicted.n_clusters, truth.n_clusters)
-    co = np.zeros((C, C), dtype=np.float64)
-    np.add.at(co, (predicted.labels, truth.labels), 1.0)
-    perm = hungarian(-co)
+    perm = _matching(predicted.labels, truth.labels, C)
     return float((perm[predicted.labels] == truth.labels).mean())
 
 
@@ -193,8 +203,7 @@ def nmi(predicted: Labelling, truth: Labelling) -> float:
     if predicted.n_points != truth.n_points:
         raise DataError("labellings must cover the same points")
     N = predicted.n_points
-    joint = np.zeros((predicted.n_clusters, truth.n_clusters), dtype=np.float64)
-    np.add.at(joint, (predicted.labels, truth.labels), 1.0)
+    joint = _cooccurrence(predicted.labels, truth.labels, predicted.n_clusters, truth.n_clusters)
     hp = _entropy(joint.sum(axis=1))
     ht = _entropy(joint.sum(axis=0))
     if hp + ht == 0.0:
@@ -215,8 +224,7 @@ def rand_index(predicted: Labelling, truth: Labelling) -> float:
     N = predicted.n_points
     if N < 2:
         raise DataError("rand index needs at least 2 points")
-    joint = np.zeros((predicted.n_clusters, truth.n_clusters), dtype=np.float64)
-    np.add.at(joint, (predicted.labels, truth.labels), 1.0)
+    joint = _cooccurrence(predicted.labels, truth.labels, predicted.n_clusters, truth.n_clusters)
 
     def pairs(v):
         return float((v * (v - 1) / 2).sum())

@@ -87,6 +87,8 @@ class BlobSpec:
             raise DataError("centroid_separation must be strictly positive")
         if not self.within_cluster_stddev > 0:
             raise DataError("within_cluster_stddev must be strictly positive")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
 
 
 def _read_u32(buf: bytes, offset: int, path: str) -> int:

@@ -125,26 +125,24 @@ class Mlp:
             g = gz @ self.weights[l] if l > 0 or input_grad else None
         return grads, g
 
-    def zero_grads(self):
-        return [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(self.weights, self.biases)]
-
 
 @dataclass
 class GradientUpdate:
     """Per-parameter gradients for one member, plus the step size to apply.
 
-    decoder_grads is None for a step that leaves the decoder frozen.
+    A stack whose gradients are None gets no step: the decoder when it is
+    frozen, the classifier when no point of the batch is agreed.
     """
 
     encoder_grads: list
     decoder_grads: list | None
-    classifier_grads: list
+    classifier_grads: list | None
     learning_rate: float
 
     def __post_init__(self):
         if not self.learning_rate >= 0:
             raise SpcError("learning_rate must be non-negative")
-        for grads in (self.encoder_grads, self.decoder_grads or [], self.classifier_grads):
+        for grads in (self.encoder_grads, self.decoder_grads or [], self.classifier_grads or []):
             for dw, db in grads:
                 if not (np.isfinite(dw).all() and np.isfinite(db).all()):
                     raise NumericError("non-finite gradient entries")
@@ -193,21 +191,6 @@ class AutoencoderMember:
         if not np.isfinite(latent).all():
             raise NumericError("non-finite encoder activations")
         return latent
-
-    def decode(self, latent: np.ndarray) -> np.ndarray:
-        latent = np.asarray(latent, dtype=np.float64)
-        if latent.ndim != 2 or latent.shape[1] != self.latent_dim:
-            raise DataError(f"latent must be (B, {self.latent_dim}), got {latent.shape}")
-        rec = self.decoder.forward(latent)
-        if not np.isfinite(rec).all():
-            raise NumericError("non-finite decoder activations")
-        return rec
-
-    def classify(self, latent: np.ndarray) -> np.ndarray:
-        latent = np.asarray(latent, dtype=np.float64)
-        if latent.ndim != 2 or latent.shape[1] != self.latent_dim:
-            raise DataError(f"latent must be (B, {self.latent_dim}), got {latent.shape}")
-        return self.classifier.forward(latent)
 
     # ---- loss with cached forward ----
 
@@ -314,8 +297,8 @@ class AutoencoderMember:
 
         train_decoder=False computes no decoder gradients (decoder_grads is
         None), so sgd_step leaves the decoder as it is.  When no point of the
-        batch is agreed the classifier gradients are exactly zero and are
-        returned as zeros without running the classifier backward.
+        batch is agreed the classifier gradients are exactly zero; the
+        classifier backward is skipped and classifier_grads is None too.
         """
         if self._cache is None:
             raise SpcError("backward requires a cached forward pass; call forward_loss first")
@@ -335,9 +318,8 @@ class AutoencoderMember:
 
         # classifier branch: dL/dprobs, nonzero only on agreed rows
         probs = c["probs"]
-        if probs is None:
-            cls_grads = self.classifier.zero_grads()
-        else:
+        cls_grads = None
+        if probs is not None:
             grad_probs = np.zeros_like(probs)
             p_t = probs[agreed, labels[agreed]]
             live = p_t > CE_CLAMP  # clamped rows have locally constant loss
@@ -368,19 +350,6 @@ class AutoencoderMember:
                 mlp.weights[l] -= eta * dw
                 mlp.biases[l] -= eta * db
         self._cache = None
-
-
-def init_member(
-    input_dim: int,
-    latent_dim: int,
-    n_clusters: int,
-    seed: int,
-    noise_stddev: float = 0.1,
-    hidden_widths=(256, 128),
-) -> AutoencoderMember:
-    return AutoencoderMember(
-        input_dim, latent_dim, n_clusters, seed, noise_stddev=noise_stddev, hidden_widths=hidden_widths
-    )
 
 
 CHECKPOINT_VERSION = 1
@@ -447,56 +416,3 @@ def load_member(path) -> AutoencoderMember:
             return member_from_state(data)
     except (OSError, ValueError, KeyError) as exc:
         raise DataError(f"unreadable member checkpoint {path}: {exc}") from exc
-
-
-def cross_entropy(probs: np.ndarray, target: int) -> float:
-    """-log of the probability assigned to the target id, clamped at 1e-12."""
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != 1:
-        raise DataError(f"probs must be a vector, got shape {probs.shape}")
-    if not 0 <= target < probs.shape[0]:
-        raise DataError(f"target {target} out of range for {probs.shape[0]} clusters")
-    return float(-np.log(max(probs[target], CE_CLAMP)))
-
-
-def l1_loss(reconstruction: np.ndarray, original: np.ndarray) -> float:
-    """Mean absolute elementwise difference."""
-    reconstruction = np.asarray(reconstruction, dtype=np.float64)
-    original = np.asarray(original, dtype=np.float64)
-    if reconstruction.shape != original.shape:
-        raise DataError(
-            f"shape mismatch: {reconstruction.shape} vs {original.shape}"
-        )
-    return float(np.abs(reconstruction - original).mean())
-
-
-def combined_loss(
-    members: list,
-    batch: np.ndarray,
-    consensus_labels: np.ndarray,
-    agreement_flags: np.ndarray,
-    recon_weight: float = 1.0,
-    latents: list | None = None,
-    run_all=None,
-) -> float:
-    """Eq-style double sum over points and members, evaluated noise-free.
-
-    Equals sum over members of each member's forward_loss, so with all flags
-    zero it reduces to the sum of per-member l1 reconstruction losses.
-    latents[j], when given, must be members[j].encode(batch) and saves
-    encoding the batch again.  run_all, when given, runs the list of
-    per-member closures (in a thread pool, say) and returns their results in
-    order; the sum is taken in member order either way.
-    """
-    if not members:
-        raise DataError("need at least one member")
-    if latents is None:
-        latents = [m.encode(batch) for m in members]
-    if len(latents) != len(members):
-        raise DataError("need one latent array per member")
-    tasks = [
-        lambda m=m, z=z: m.latent_loss(z, batch, consensus_labels, agreement_flags, recon_weight)
-        for m, z in zip(members, latents)
-    ]
-    losses = run_all(tasks) if run_all is not None else [task() for task in tasks]
-    return float(sum(losses))

@@ -24,10 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import Labelling, gmm_fit, gmm_predict, kmeans_fit
-from .consensus import ConsensusResult, consensus, hungarian
+from .consensus import ConsensusResult, _matching, consensus
+# unused here, but perfbench/trace.py wraps pipeline.hungarian, so the name must resolve
+from .consensus import hungarian  # noqa: F401
 from .data import Dataset
 from .errors import ConfigError, DataError, NumericError
-from .network import AutoencoderMember, combined_loss
+from .network import AutoencoderMember
 
 logger = logging.getLogger("spc")
 
@@ -81,6 +83,8 @@ class SpcConfig:
             raise ConfigError("plateau_patience must be >= 1")
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be >= 1")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.clusterer not in CLUSTERERS:
             raise ConfigError(f"clusterer must be one of {CLUSTERERS}, got {self.clusterer!r}")
         if self.batch_size < 1:
@@ -218,14 +222,17 @@ _single_blas_thread = _SingleBlasThread()
 def _fan_out(tasks: list, workers: int | None) -> list:
     """Run the closures, possibly in a thread pool; results in task order.
 
-    With more than one worker thread BLAS runs single-threaded meanwhile.
-    Outputs do not depend on either thread count; the tests compare runs at
-    different worker counts byte for byte.
+    workers None means one thread per core.  With more than one worker thread
+    BLAS runs single-threaded meanwhile.  Outputs do not depend on either
+    thread count; the tests compare runs at different worker counts byte for
+    byte.
     """
     if workers is None:
-        workers = min(len(tasks), os.cpu_count() or 1)
-    workers = max(1, min(workers, len(tasks)))
-    if workers == 1:
+        workers = os.cpu_count() or 1
+    elif workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+    workers = min(workers, len(tasks))
+    if workers <= 1:
         return [task() for task in tasks]
     with _single_blas_thread, ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(task) for task in tasks]
@@ -323,17 +330,7 @@ def _cluster(latents: np.ndarray, n_clusters: int, seed: int, kind: str) -> Labe
 
 def _aligned_correct(predicted: np.ndarray, truth: np.ndarray, n_clusters: int) -> np.ndarray:
     """Pointwise correctness under the accuracy-maximizing label permutation."""
-    co = np.zeros((n_clusters, n_clusters), dtype=np.float64)
-    np.add.at(co, (predicted, truth), 1.0)
-    perm = hungarian(-co)
-    return perm[predicted] == truth
-
-
-def final_assignment(result: ConsensusResult, n_clusters: int | None = None) -> Labelling:
-    """The consensus labels as a Labelling (mode over the aligned ensemble)."""
-    if n_clusters is None:
-        n_clusters = int(result.consensus_labels.max()) + 1
-    return Labelling(labels=result.consensus_labels.copy(), n_clusters=n_clusters)
+    return _matching(predicted, truth, n_clusters)[predicted] == truth
 
 
 def _rename_to_previous(result: ConsensusResult, previous: np.ndarray, n_clusters: int) -> ConsensusResult:
@@ -344,15 +341,40 @@ def _rename_to_previous(result: ConsensusResult, previous: np.ndarray, n_cluster
     and every head would have to relearn a shuffled output map.  Renaming
     changes neither the partition nor the agreement flags.
     """
-    co = np.zeros((n_clusters, n_clusters), dtype=np.float64)
-    np.add.at(co, (result.consensus_labels, previous), 1.0)
-    perm = hungarian(-co)
+    perm = _matching(result.consensus_labels, previous, n_clusters)
     return ConsensusResult(
         consensus_labels=perm[result.consensus_labels],
         agreement=result.agreement,
         aligned_labellings=perm[result.aligned_labellings],
         n_agreed=result.n_agreed,
     )
+
+
+def combined_loss(
+    members: list,
+    latents: list,
+    batch: np.ndarray,
+    consensus_labels: np.ndarray,
+    agreement_flags: np.ndarray,
+    recon_weight: float = 1.0,
+    workers: int | None = None,
+) -> float:
+    """The objective summed over members, evaluated noise-free.
+
+    latents[j] must be members[j].encode(batch).  Equals the sum over members
+    of each member's forward_loss, so with all flags zero it reduces to the
+    sum of per-member l1 reconstruction losses.  The members run in a
+    fan-out; the sum is taken in member order.
+    """
+    if not members:
+        raise DataError("need at least one member")
+    if len(latents) != len(members):
+        raise DataError("need one latent array per member")
+    tasks = [
+        lambda m=m, z=z: m.latent_loss(z, batch, consensus_labels, agreement_flags, recon_weight)
+        for m, z in zip(members, latents)
+    ]
+    return float(sum(_fan_out(tasks, workers)))
 
 
 # ---- the full loop --------------------------------------------------------
@@ -433,12 +455,12 @@ def spc_train(
         flags = result.agreement.astype(np.int64)
         mean_loss = combined_loss(
             members,
+            [lat for lat, _ in outcomes],
             points,
             result.consensus_labels,
             flags,
             config.recon_weight,
-            latents=[lat for lat, _ in outcomes],
-            run_all=lambda tasks: _fan_out(tasks, workers),
+            workers,
         ) / len(members)
         agreed_acc = overall_acc = None
         if dataset.labels is not None:
@@ -481,4 +503,5 @@ def spc_train(
 
         _fan_out([lambda j=j: train_task(j) for j in range(config.n_members)], workers)
 
-    return final_assignment(result, C), history, members
+    final = Labelling(labels=result.consensus_labels.copy(), n_clusters=C)
+    return final, history, members

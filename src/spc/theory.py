@@ -464,6 +464,8 @@ def run_theory_suite(
     Claims that are vacuous at eta*w' = 0 are marked not applicable and pass
     as exact equalities.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     root = np.random.SeedSequence(seed)
     report = TheoryReport()
 

@@ -235,6 +235,24 @@ def test_run_workers_below_one_exits_1(tmp_path, workers):
     assert no_stage_leftovers(tmp_path)
 
 
+@pytest.mark.parametrize(
+    "extra_ini, flags, code",
+    [
+        ("", ["--seed", "-1"], EXIT_CONFIG),
+        ("[spc]\nmaster_seed = -3\n", [], EXIT_CONFIG),
+        ("[blobs]\nseed = -3\n", [], EXIT_DATA),
+    ],
+)
+def test_run_negative_seed_exits_cleanly(tmp_path, capsys, extra_ini, flags, code):
+    cfg = write(tmp_path / "c.ini", extra_ini)
+    out = run_dir(tmp_path)
+    assert main(["run", "--config", cfg, "--out", out] + flags) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "seed must be >= 0" in err[0]
+    assert not os.path.exists(out)
+    assert no_stage_leftovers(tmp_path)
+
+
 def test_run_existing_out_dir_exits_1(tmp_path):
     cfg = write(tmp_path / "c.ini", SMALL_INI)
     out = tmp_path / "occupied"
@@ -461,6 +479,19 @@ def test_verify_theory_unknown_sampler_exits_1(tmp_path):
 def test_verify_theory_tiny_sample_count_exits_1(tmp_path):
     cfg = write(tmp_path / "t.ini", "[theory]\nn_samples = 50\n")
     assert main(["verify-theory", "--config", cfg, "--out", run_dir(tmp_path)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "ini, flags", [("", ["--seed", "-1"]), ("[theory]\nseed = -3\n", [])]
+)
+def test_verify_theory_negative_seed_exits_1(tmp_path, capsys, ini, flags):
+    cfg = write(tmp_path / "t.ini", ini)
+    out = run_dir(tmp_path)
+    assert main(["verify-theory", "--config", cfg, "--out", out] + flags) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and "seed" in err[0]
+    assert not os.path.exists(out)
+    assert no_stage_leftovers(tmp_path)
 
 
 def test_verify_theory_existing_out_exits_1(tmp_path):

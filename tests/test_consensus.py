@@ -2,6 +2,8 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spc.clustering import Labelling
 from spc.consensus import (
@@ -15,6 +17,7 @@ from spc.consensus import (
     nmi,
     rand_index,
 )
+from spc.consensus import _cooccurrence
 from spc.errors import DataError
 
 
@@ -318,6 +321,17 @@ def test_rand_index_needs_two_points():
         rand_index(a, a)
 
 
+def test_cooccurrence_table_matches_add_at_build_bitwise():
+    rng = np.random.default_rng(13)
+    for rows_c, cols_c in ((1, 1), (3, 5), (10, 10)):
+        rows = rng.integers(0, rows_c, size=200)
+        cols = rng.integers(0, cols_c, size=200)
+        expect = np.zeros((rows_c, cols_c))
+        np.add.at(expect, (rows, cols), 1.0)
+        got = _cooccurrence(rows, cols, rows_c, cols_c)
+        assert got.dtype == np.float64 and got.tobytes() == expect.tobytes()
+
+
 def test_cluster_size_report():
     lab = Labelling(labels=np.array([0, 0, 1, 1, 2, 2]), n_clusters=3)
     assert cluster_size_report(lab) == {0: 2, 1: 2, 2: 2}
@@ -340,3 +354,69 @@ def test_evaluate_bundle():
 def test_metrics_range_validation():
     with pytest.raises(DataError):
         Metrics(accuracy=1.2, nmi=0.5, rand_index=0.5, cluster_sizes={})
+
+
+# ---- properties ----
+
+SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def labelling_pairs(draw):
+    """(predicted, truth) over up to 5 ids each, on the same points."""
+    n = draw(st.integers(1, 30))
+    cp, ct = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    pred = draw(st.lists(st.integers(0, cp - 1), min_size=n, max_size=n))
+    truth = draw(st.lists(st.integers(0, ct - 1), min_size=n, max_size=n))
+    return Labelling(np.array(pred), cp), Labelling(np.array(truth), ct)
+
+
+@SETTINGS
+@given(labelling_pairs())
+def test_accuracy_is_the_best_permutation_rate(pair):
+    pred, truth = pair
+    C = max(pred.n_clusters, truth.n_clusters)
+    best = max((np.array(p)[pred.labels] == truth.labels).mean() for p in permutations(range(C)))
+    assert accuracy(pred, truth) == best
+
+
+def matching_is_unique(labels, reference, C):
+    scores = [(np.array(p)[labels] == reference).sum() for p in permutations(range(C))]
+    return scores.count(max(scores)) == 1
+
+
+@st.composite
+def ensembles(draw):
+    """(member labellings, C, relabelled member, id permutation): noisy copies of one labelling."""
+    C = draw(st.integers(2, 4))
+    n = draw(st.integers(C, 24))
+    base = np.array(draw(st.lists(st.integers(0, C - 1), min_size=n, max_size=n)))
+    members = []
+    for _ in range(draw(st.integers(2, 4))):
+        labels = np.array(draw(st.permutations(range(C))))[base]
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=n // 3)):
+            labels[i] = draw(st.integers(0, C - 1))
+        members.append(Labelling(labels, C))
+    j = draw(st.integers(0, len(members) - 1))
+    perm = np.array(draw(st.permutations(range(C))))
+    return members, C, j, perm
+
+
+@SETTINGS
+@given(ensembles())
+def test_consensus_invariant_under_member_relabelling(ensemble):
+    # a tied matching is broken by id order, which relabelling changes
+    members, C, j, perm = ensemble
+    ref = members[0].labels
+    assume(all(matching_is_unique(m.labels, ref, C) for m in members[1:]))
+    relabelled = list(members)
+    relabelled[j] = Labelling(perm[members[j].labels], C)
+    before, after = consensus(members, C), consensus(relabelled, C)
+    assert np.array_equal(before.agreement, after.agreement)
+    assert before.n_agreed == after.n_agreed
+    agreed = before.agreement
+    if j == 0:
+        # the reference's ids name the consensus ids, so they follow perm
+        assert np.array_equal(after.consensus_labels[agreed], perm[before.consensus_labels[agreed]])
+    else:
+        assert np.array_equal(after.consensus_labels, before.consensus_labels)

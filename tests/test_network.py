@@ -3,21 +3,51 @@ import pytest
 
 from spc.errors import DataError, NumericError, SpcError
 from spc.network import (
+    CE_CLAMP,
     AutoencoderMember,
     GradientUpdate,
     Mlp,
-    combined_loss,
-    cross_entropy,
-    init_member,
-    l1_loss,
     load_member,
     save_member,
 )
 from spc.network import _activation_backward, _apply_activation
+from spc.pipeline import combined_loss
 
 
 def small_member(seed=0, noise=0.0):
-    return init_member(4, 3, 3, seed, noise_stddev=noise, hidden_widths=(6,))
+    return AutoencoderMember(4, 3, 3, seed, noise_stddev=noise, hidden_widths=(6,))
+
+
+def zero_grads(mlp):
+    return [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(mlp.weights, mlp.biases)]
+
+
+def member_loss(members, batch, labels, flags, recon_weight=1.0):
+    """combined_loss with the latents encoded here."""
+    latents = [m.encode(batch) for m in members]
+    return combined_loss(members, latents, batch, labels, flags, recon_weight)
+
+
+# ---- loss oracles ----
+
+
+def cross_entropy(probs: np.ndarray, target: int) -> float:
+    """-log of the probability assigned to the target id, clamped at 1e-12."""
+    probs = np.asarray(probs, dtype=np.float64)
+    if probs.ndim != 1:
+        raise DataError(f"probs must be a vector, got shape {probs.shape}")
+    if not 0 <= target < probs.shape[0]:
+        raise DataError(f"target {target} out of range for {probs.shape[0]} clusters")
+    return float(-np.log(max(probs[target], CE_CLAMP)))
+
+
+def l1_loss(reconstruction: np.ndarray, original: np.ndarray) -> float:
+    """Mean absolute elementwise difference."""
+    reconstruction = np.asarray(reconstruction, dtype=np.float64)
+    original = np.asarray(original, dtype=np.float64)
+    if reconstruction.shape != original.shape:
+        raise DataError(f"shape mismatch: {reconstruction.shape} vs {original.shape}")
+    return float(np.abs(reconstruction - original).mean())
 
 
 def rand_batch(rng, b=4, n=4):
@@ -28,32 +58,32 @@ def rand_batch(rng, b=4, n=4):
 
 
 def test_init_deterministic_and_distinct():
-    m1 = init_member(8, 3, 4, seed=11, hidden_widths=(5,))
-    m2 = init_member(8, 3, 4, seed=11, hidden_widths=(5,))
+    m1 = AutoencoderMember(8, 3, 4, seed=11, hidden_widths=(5,))
+    m2 = AutoencoderMember(8, 3, 4, seed=11, hidden_widths=(5,))
     for a, b in zip(m1.encoder.weights, m2.encoder.weights):
         assert np.array_equal(a, b)
     for a, b in zip(m1.classifier.weights, m2.classifier.weights):
         assert np.array_equal(a, b)
-    m3 = init_member(8, 3, 4, seed=12, hidden_widths=(5,))
+    m3 = AutoencoderMember(8, 3, 4, seed=12, hidden_widths=(5,))
     assert any(
         not np.array_equal(a, b) for a, b in zip(m1.encoder.weights, m3.encoder.weights)
     )
 
 
 def test_init_fan_in_bounds():
-    m = init_member(16, 4, 3, seed=0)
+    m = AutoencoderMember(16, 4, 3, seed=0)
     for mlp in (m.encoder, m.decoder, m.classifier):
         for w, fan_in in zip(mlp.weights, mlp.widths[:-1]):
             assert np.abs(w).max() <= 1.0 / np.sqrt(fan_in)
 
 
 def test_classifier_hidden_width_is_25():
-    m = init_member(784, 50, 10, seed=0)
+    m = AutoencoderMember(784, 50, 10, seed=0)
     assert m.classifier.widths == [50, 25, 10]
 
 
 def test_default_encoder_widths():
-    m = init_member(784, 50, 10, seed=0)
+    m = AutoencoderMember(784, 50, 10, seed=0)
     assert m.encoder.widths == [784, 256, 128, 50]
     assert m.decoder.widths == [50, 128, 256, 784]
 
@@ -112,7 +142,7 @@ def test_decode_range_and_tanh_oracle():
     m = small_member(seed=5)
     rng = np.random.default_rng(5)
     latent = rng.standard_normal((10, 3)) * 3
-    rec = m.decode(latent)
+    rec = m.decoder.forward(latent)
     assert rec.shape == (10, 4)
     assert np.all(rec > -1) and np.all(rec < 1)
     # zero parameters give tanh(0) = 0
@@ -120,7 +150,7 @@ def test_decode_range_and_tanh_oracle():
     for l in range(z.decoder.n_layers):
         z.decoder.weights[l][:] = 0
         z.decoder.biases[l][:] = 0
-    assert np.all(z.decode(latent) == 0)
+    assert np.all(z.decoder.forward(latent) == 0)
     # single linear layer then tanh matches the elementwise oracle
     mlp = Mlp([3, 4], "tanh", rng)
     x = rng.standard_normal((5, 3))
@@ -128,9 +158,9 @@ def test_decode_range_and_tanh_oracle():
 
 
 def test_classify_probability_rows():
-    m = init_member(6, 4, 5, seed=9, hidden_widths=(7,))
+    m = AutoencoderMember(6, 4, 5, seed=9, hidden_widths=(7,))
     rng = np.random.default_rng(9)
-    probs = m.classify(rng.standard_normal((20, 4)))
+    probs = m.classifier.forward(rng.standard_normal((20, 4)))
     assert probs.shape == (20, 5)
     assert np.all(probs > 0) and np.all(probs <= 1)
     assert np.abs(probs.sum(axis=1) - 1).max() < 1e-9
@@ -198,14 +228,14 @@ def test_combined_loss_single_branch_reductions():
     zeros = np.zeros(6, dtype=int)
     ones = np.ones(6, dtype=int)
     # all reconstruction: sum of per-member l1 means
-    expect = sum(l1_loss(m.decode(m.encode(batch)), batch) for m in members)
-    assert combined_loss(members, batch, labels, zeros) == pytest.approx(expect, rel=1e-12)
+    expect = sum(l1_loss(m.decoder.forward(m.encode(batch)), batch) for m in members)
+    assert member_loss(members, batch, labels, zeros) == pytest.approx(expect, rel=1e-12)
     # all cross-entropy: sum of per-member CE means
     expect = sum(
-        np.mean([cross_entropy(m.classify(m.encode(batch))[i], labels[i]) for i in range(6)])
+        np.mean([cross_entropy(p, t) for p, t in zip(m.classifier.forward(m.encode(batch)), labels)])
         for m in members
     )
-    assert combined_loss(members, batch, labels, ones) == pytest.approx(expect, rel=1e-12)
+    assert member_loss(members, batch, labels, ones) == pytest.approx(expect, rel=1e-12)
 
 
 def test_combined_loss_mixed_hand_oracle():
@@ -219,11 +249,11 @@ def test_combined_loss_mixed_hand_oracle():
         latent = m.encode(batch)
         for i in range(4):
             if flags[i] == 1:
-                total += cross_entropy(m.classify(latent[i : i + 1])[0], labels[i])
+                total += cross_entropy(m.classifier.forward(latent[i : i + 1])[0], labels[i])
             else:
-                rec = m.decode(latent[i : i + 1])[0]
+                rec = m.decoder.forward(latent[i : i + 1])[0]
                 total += np.abs(rec - batch[i]).sum() / 4
-    assert combined_loss(members, batch, labels, flags) == pytest.approx(total / 4, abs=1e-10)
+    assert member_loss(members, batch, labels, flags) == pytest.approx(total / 4, abs=1e-10)
 
 
 def test_combined_loss_recon_weight_scales_recon_branch():
@@ -232,8 +262,8 @@ def test_combined_loss_recon_weight_scales_recon_branch():
     batch = rand_batch(rng, b=5)
     labels = np.zeros(5, dtype=int)
     zeros = np.zeros(5, dtype=int)
-    base = combined_loss(members, batch, labels, zeros, recon_weight=1.0)
-    assert combined_loss(members, batch, labels, zeros, recon_weight=2.5) == pytest.approx(
+    base = member_loss(members, batch, labels, zeros, recon_weight=1.0)
+    assert member_loss(members, batch, labels, zeros, recon_weight=2.5) == pytest.approx(
         2.5 * base, rel=1e-12
     )
 
@@ -255,14 +285,14 @@ def test_branch_exclusivity():
     per_point_before = []
     m2 = small_member(seed=20)
     lat = m2.encode(batch)
-    ce_before = [cross_entropy(m2.classify(lat)[i], labels[i]) for i in range(2)]
+    ce_before = [cross_entropy(m2.classifier.forward(lat)[i], labels[i]) for i in range(2)]
     lat_p = m.encode(batch)
-    ce_after = [cross_entropy(m.classify(lat_p)[i], labels[i]) for i in range(2)]
+    ce_after = [cross_entropy(m.classifier.forward(lat_p)[i], labels[i]) for i in range(2)]
     assert ce_before == ce_after
     m3 = small_member(seed=20)
-    rec_before = m3.decode(m3.encode(batch))[2:]
+    rec_before = m3.decoder.forward(m3.encode(batch))[2:]
     m3.classifier.weights[0] += rng.standard_normal(m3.classifier.weights[0].shape)
-    rec_after = m3.decode(m3.encode(batch))[2:]
+    rec_after = m3.decoder.forward(m3.encode(batch))[2:]
     assert np.array_equal(rec_before, rec_after)
 
 
@@ -290,6 +320,8 @@ def fd_check(member, batch, labels, flags, train_mode=False, noise_seed=0, recon
         (member.decoder, upd.decoder_grads),
         (member.classifier, upd.classifier_grads),
     ):
+        if grads is None:  # a stack with no gradient has exactly zero gradient
+            grads = zero_grads(mlp)
         for l in range(mlp.n_layers):
             for arr, g in ((mlp.weights[l], grads[l][0]), (mlp.biases[l], grads[l][1])):
                 flat = arr.reshape(-1)
@@ -425,9 +457,9 @@ def test_sgd_zero_rate_no_change():
 def test_sgd_scalar_arithmetic():
     m = small_member(seed=45)
     m.encoder.weights[0][0, 0] = 1.0
-    grads = m.encoder.zero_grads()
+    grads = zero_grads(m.encoder)
     grads[0][0][0, 0] = 2.0
-    upd = GradientUpdate(grads, m.decoder.zero_grads(), m.classifier.zero_grads(), 0.1)
+    upd = GradientUpdate(grads, zero_grads(m.decoder), zero_grads(m.classifier), 0.1)
     m.sgd_step(upd)
     assert m.encoder.weights[0][0, 0] == pytest.approx(0.8, abs=1e-15)
 
@@ -451,10 +483,12 @@ def test_sgd_descends_on_smooth_batch():
 
 def test_gradient_update_rejects_non_finite():
     m = small_member(seed=46)
-    grads = m.encoder.zero_grads()
+    grads = zero_grads(m.encoder)
     grads[0][0][0, 0] = np.nan
     with pytest.raises(NumericError):
-        GradientUpdate(grads, m.decoder.zero_grads(), m.classifier.zero_grads(), 0.1)
+        GradientUpdate(grads, zero_grads(m.decoder), zero_grads(m.classifier), 0.1)
+    with pytest.raises(NumericError):
+        GradientUpdate(zero_grads(m.encoder), None, grads, 0.1)
 
 
 def test_frozen_decoder_backward_skips_decoder_only():
@@ -504,10 +538,24 @@ def test_step_without_agreed_points_leaves_classifier_untouched(train_decoder):
     batch = rand_batch(rng, b=5)
     m.forward_loss(batch, rng.integers(0, 3, size=5), np.zeros(5, dtype=int))
     upd = m.backward(0.1, train_decoder=train_decoder)
-    for dw, db in upd.classifier_grads:
-        assert not dw.any() and not db.any()
+    assert upd.classifier_grads is None
     m.sgd_step(upd)
     assert same_bits(params(m.classifier), before)
+
+
+def test_zero_gradient_step_equals_no_step_bitwise():
+    # backward returns None in place of an exactly-zero classifier gradient;
+    # w - eta * 0.0 == w bit for bit, signed zeros, infinities and NaN included
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-310, -1e-310, 3.5])
+    for eta in (0.0, 1e-3, 0.3, 1e300):
+        stepped, skipped = small_member(seed=54), small_member(seed=54)
+        for m in (stepped, skipped):
+            m.classifier.weights[0].reshape(-1)[: special.size] = special
+            m.classifier.biases[0][: special.size] = special
+        enc = zero_grads(stepped.encoder)
+        stepped.sgd_step(GradientUpdate(enc, None, zero_grads(stepped.classifier), eta))
+        skipped.sgd_step(GradientUpdate(enc, None, None, eta))
+        assert same_bits(params(stepped.classifier), params(skipped.classifier))
 
 
 def test_leaky_relu_matches_select_oracle_bitwise():
@@ -534,9 +582,9 @@ def test_latent_loss_equals_forward_loss_and_caches_nothing():
                 batch, labels, flags, recon_weight=0.7
             )
             m.sgd_step(m.backward(0.0))
-        in_order = lambda tasks: [task() for task in tasks]
-        reused = combined_loss(members, batch, labels, flags, 0.7, latents=latents, run_all=in_order)
-        assert reused == combined_loss(members, batch, labels, flags, 0.7)
+        expect = sum(m.latent_loss(z, batch, labels, flags, 0.7) for m, z in zip(members, latents))
+        for workers in (1, 3):
+            assert combined_loss(members, latents, batch, labels, flags, 0.7, workers) == expect
         for m in members:
             with pytest.raises(SpcError, match="forward"):
                 m.backward()

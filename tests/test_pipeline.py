@@ -3,17 +3,19 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import spc.pipeline as pipeline
 from spc.clustering import Labelling
-from spc.consensus import ConsensusResult, accuracy
+from spc.consensus import ConsensusResult, accuracy, consensus
 from spc.data import BlobSpec, Dataset, make_blobs, normalize
 from spc.errors import ConfigError, DataError
-from spc.network import combined_loss
 from spc.pipeline import (
     IterationRecord,
     SpcConfig,
     build_members,
-    final_assignment,
+    combined_loss,
     pretrain,
     spc_train,
     train_epoch,
@@ -97,6 +99,7 @@ def test_config_defaults_valid():
         {"batch_size": 0},
         {"recon_weight": -1.0},
         {"hidden_widths": (16, 0)},
+        {"master_seed": -1},
     ],
 )
 def test_config_rejects_bad_fields(kw):
@@ -184,10 +187,14 @@ def test_pretrain_reduces_reconstruction_loss():
         cfg = small_config(pretrain_epochs=20, latent_dim=4, hidden_widths=(32, 16), master_seed=seed)
         members = build_members(ds, cfg)
         zeros = np.zeros(ds.n_points, dtype=np.int64)
-        before = combined_loss(members, ds.points, zeros, zeros, 1.0)
+
+        def loss():
+            latents = [m.encode(ds.points) for m in members]
+            return combined_loss(members, latents, ds.points, zeros, zeros)
+
+        before = loss()
         pretrain(members, ds, cfg)
-        after = combined_loss(members, ds.points, zeros, zeros, 1.0)
-        assert after < before
+        assert loss() < before
 
 
 def test_pretrain_seeds_give_different_parameters():
@@ -274,20 +281,26 @@ def test_train_epoch_returns_mean_loss():
 # ---- consensus bookkeeping ----
 
 
-def test_final_assignment_wraps_consensus_labels():
-    labels = np.array([0, 0, 1, 1, 2])
-    result = ConsensusResult(
-        consensus_labels=labels,
-        agreement=np.ones(5, dtype=bool),
-        aligned_labellings=labels[None, :],
-        n_agreed=5,
-    )
-    out = final_assignment(result, n_clusters=3)
-    assert isinstance(out, Labelling)
-    assert np.array_equal(out.labels, labels)
-    assert out.n_clusters == 3
-    inferred = final_assignment(result)
-    assert inferred.n_clusters == 3
+def test_final_labelling_is_last_consensus(monkeypatch):
+    # the final labelling is the last (renamed) consensus over all C ids
+    results = []
+
+    def recording(fn):
+        def wrapped(*args):
+            results.append(fn(*args))
+            return results[-1]
+
+        return wrapped
+
+    monkeypatch.setattr(pipeline, "consensus", recording(pipeline.consensus))
+    monkeypatch.setattr(pipeline, "_rename_to_previous", recording(pipeline._rename_to_previous))
+    ds = small_blobs()
+    final, history, _ = spc_train(ds, small_config(max_iterations=2, plateau_patience=5))
+    assert len(history) == 2 and len(results) == 3  # consensus, consensus, rename
+    assert isinstance(final, Labelling)
+    assert final.n_clusters == ds.n_clusters
+    assert np.array_equal(final.labels, results[-1].consensus_labels)
+    assert final.labels is not results[-1].consensus_labels
 
 
 def test_rename_to_previous_matches_previous_ids():
@@ -319,6 +332,31 @@ def test_rename_to_previous_preserves_partition():
     )
     renamed = _rename_to_previous(current, labels, 4)
     assert np.array_equal(renamed.consensus_labels, labels)
+
+
+@st.composite
+def renamings(draw):
+    """(consensus of random labellings, previous labels, C)."""
+    C = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 30))
+    labels = st.lists(st.integers(0, C - 1), min_size=n, max_size=n)
+    members = [Labelling(np.array(draw(labels)), C) for _ in range(draw(st.integers(1, 4)))]
+    return consensus(members, C), np.array(draw(labels)), C
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(renamings())
+def test_rename_to_previous_keeps_flags_and_relabels_by_a_permutation(case):
+    result, previous, C = case
+    renamed = _rename_to_previous(result, previous, C)
+    assert np.array_equal(renamed.agreement, result.agreement)
+    assert renamed.n_agreed == result.n_agreed
+    # one id map, a bijection, carries every old label to its new one
+    ids = np.full(C, -1)
+    ids[result.aligned_labellings] = renamed.aligned_labellings
+    assert sorted(ids[ids >= 0]) == sorted(set(ids[ids >= 0]))
+    assert np.array_equal(ids[result.aligned_labellings], renamed.aligned_labellings)
+    assert np.array_equal(ids[result.consensus_labels], renamed.consensus_labels)
 
 
 # ---- the full loop ----
@@ -469,6 +507,18 @@ def test_concurrent_fan_outs_keep_blas_pinned_until_the_last_ends(blas_at_two_th
         sys.setswitchinterval(old_interval)
     assert seen == [1] * 24
     assert get() == 2
+
+
+def test_worker_count_below_one_is_a_config_error():
+    ds = small_blobs()
+    cfg = small_config()
+    for workers in (0, -2):
+        with pytest.raises(ConfigError, match="workers"):
+            _fan_out([lambda: 1], workers)
+        with pytest.raises(ConfigError, match="workers"):
+            pretrain(build_members(ds, cfg), ds, cfg, workers=workers)
+        with pytest.raises(ConfigError, match="workers"):
+            spc_train(ds, cfg, workers=workers)
 
 
 def test_spc_train_rejects_unnormalized_points():
