@@ -74,6 +74,76 @@ def _sq_dists(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return (diff**2).sum(axis=2)
 
 
+# Unit roundoff and the smallest subnormal of float64, for _nearest's bound.
+_U = np.finfo(np.float64).eps / 2
+_ETA = np.finfo(np.float64).smallest_subnormal
+
+
+def _nearest(x: np.ndarray, xx: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Nearest centroid per row, equal to _sq_dists(x, centroids).argmin(axis=1).
+
+    xx holds the rows' squared norms.  One GEMM gives d~ = ||c||^2 - 2 x.c,
+    the expansion of the squared distance less ||x||^2, which every entry of
+    a row shares.  d~ only proposes a label: a row whose runner-up lies
+    within tau of its best entry gets its exact _sq_dists row instead, so
+    the result equals the direct formula bit for bit (ties to the lowest id)
+    and a BLAS rounding never decides a label.
+
+    Why tau suffices (Higham, Accuracy and Stability, 3.1: every dot product
+    or sum of n terms, in any order and with or without FMA, errs by at most
+    gamma_n = n*u/(1 - n*u) times the sum of its terms' magnitudes; each
+    product that underflows adds at most eta/2).  With S = ||x||^2 + ||c||^2
+    and D the exact squared distance, D <= 2S and 2|x.c| <= S:
+      - d~: gamma_m for each of 2 x.c and ||c||^2, plus one addition of
+        size <= 2S, give |d~ + ||x||^2 - D| <= 2 gamma_{m+2} S;
+      - _sq_dists: a difference, a square and a sum of m terms give
+        |d - D| <= gamma_{m+2} D <= 2 gamma_{m+2} S;
+      - underflow adds at most 2.5 m eta to the two together.
+    So d~ + ||x||^2 is within E = 4 (gamma_{m+2} S + m eta) of d in every
+    entry of a row, and a row whose runner-up trails its best by more than
+    2E has the same strict minimiser under d.  tau = 8.08 (gamma_{m+2} S_max
+    + m eta), with S_max = ||x||^2 + max_c ||c||^2, is 2E with a 1% margin
+    that covers the rounding of tau and of the gaps themselves.  A NaN or an
+    infinite tau (overflow) fails the comparison, so its row is always
+    rechecked.
+    """
+    N, m = x.shape
+    rows = np.arange(N)
+    gamma = (m + 2) * _U / (1 - (m + 2) * _U)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cc = (centroids * centroids).sum(axis=1)
+        d = x @ (-2.0 * centroids).T
+        d += cc
+        assign = d.argmin(axis=1)
+        d -= d[rows, assign][:, None]
+        tau = (8.08 * gamma) * xx + 8.08 * (gamma * cc.max() + m * _ETA)
+        near = ~(d > tau[:, None])
+    near[rows, assign] = False
+    if near.any():
+        ties = near.any(axis=1)
+        assign[ties] = _sq_dists(x[ties], centroids).argmin(axis=1)
+    return assign
+
+
+def _cluster_means(x: np.ndarray, assign: np.ndarray, counts: np.ndarray, out: np.ndarray):
+    """Write x[assign == c].mean(axis=0) into out[c], bit for bit, for each c with points.
+
+    counts is bincount(assign); rows of out whose cluster is empty stay as
+    they are.  bincount adds each cluster's rows in index order, which is
+    how numpy reduces over the rows of a C-ordered block of two or more
+    columns.  A single column is one contiguous run, which numpy sums
+    pairwise, so that case keeps the per-cluster reductions.
+    """
+    m = x.shape[1]
+    C = out.shape[0]
+    if m == 1:
+        sums = np.stack([x[assign == c].sum(axis=0) for c in range(C)])
+    else:
+        keys = (assign * m)[:, None] + np.arange(m)
+        sums = np.bincount(keys.ravel(), weights=x.ravel(), minlength=C * m).reshape(C, m)
+    return np.divide(sums, counts[:, None], out=out, where=counts[:, None] > 0)
+
+
 def _kmeanspp_seed(x: np.ndarray, C: int, rng: np.random.Generator) -> np.ndarray:
     N = x.shape[0]
     centroids = np.empty((C, x.shape[1]))
@@ -94,33 +164,54 @@ def _lloyd(x: np.ndarray, C: int, rng: np.random.Generator):
     """One k-means++ seeded Lloyd run to an assignment fixpoint.
 
     Returns (trace, centroids, assign); trace holds the inertia after each
-    assignment step, so trace[-1] is that of the returned assignment.
+    assignment step, so trace[-1] is that of the returned assignment.  Each
+    step assigns through _nearest (the GEMM expansion with every near tie
+    recomputed exactly), takes each point's own distance with the direct
+    formula and updates the centroids from one bincount, so labels, inertias
+    and centroids equal those of the direct per-pair, per-cluster formulas
+    bit for bit.
     """
     N = x.shape[0]
+    with np.errstate(over="ignore"):
+        xx = (x * x).sum(axis=1)
     centroids = _kmeanspp_seed(x, C, rng)
     prev = None
     assign = None
     trace = []
     for _ in range(KMEANS_MAX_ITERS):
-        d2 = _sq_dists(x, centroids)
-        assign = d2.argmin(axis=1)
-        own = d2[np.arange(N), assign]
-        for c in range(C):
-            if not (assign == c).any():
-                far = own.argmax()
-                centroids[c] = x[far]
-                d2[:, c] = ((x - centroids[c]) ** 2).sum(axis=1)
-                assign = d2.argmin(axis=1)
-                own = d2[np.arange(N), assign]
+        assign = _nearest(x, xx, centroids)
+        counts = np.bincount(assign, minlength=C)
+        if not counts.all():
+            # rare: reseed empty clusters one by one on exact distances
+            d2 = _sq_dists(x, centroids)
+            own = d2[np.arange(N), assign]
+            for c in range(C):
+                if not (assign == c).any():
+                    far = own.argmax()
+                    centroids[c] = x[far]
+                    d2[:, c] = ((x - centroids[c]) ** 2).sum(axis=1)
+                    assign = d2.argmin(axis=1)
+                    own = d2[np.arange(N), assign]
+            counts = np.bincount(assign, minlength=C)
+        own = ((x - centroids.take(assign, axis=0)) ** 2).sum(axis=1)
         trace.append(float(own.sum()))
-        if prev is not None and np.array_equal(assign, prev):
+        if prev is not None and (assign == prev).all():
             break
         prev = assign
-        for c in range(C):
-            members = assign == c
-            if members.any():
-                centroids[c] = x[members].mean(axis=0)
+        # a cluster emptied by a later reseed keeps its centroid
+        _cluster_means(x, assign, counts, out=centroids)
     return trace, centroids, assign
+
+
+def _checked_latents(latents: np.ndarray, C: int) -> np.ndarray:
+    x = np.asarray(latents, dtype=np.float64)
+    if x.ndim != 2:
+        raise DataError(f"latents must be 2-d, got shape {x.shape}")
+    if x.shape[0] < C:
+        raise DataError(f"need at least {C} points, got {x.shape[0]}")
+    if not np.isfinite(x).all():
+        raise DataError("latents hold NaN or inf")
+    return x
 
 
 def kmeans_fit(latents: np.ndarray, C: int, seed: int):
@@ -130,13 +221,11 @@ def kmeans_fit(latents: np.ndarray, C: int, seed: int):
     solution with the lowest inertia wins (first found on ties).  Clusters
     left empty by an assignment step are reseeded to the point currently
     farthest from its own centroid, which strictly lowers inertia.
+    Assignment uses the GEMM expansion and recomputes every near tie with
+    the direct formula, so labels equal those of the direct squared
+    distances bit for bit and BLAS never decides a label.
     """
-    x = np.asarray(latents, dtype=np.float64)
-    if x.ndim != 2:
-        raise DataError(f"latents must be 2-d, got shape {x.shape}")
-    N = x.shape[0]
-    if N < C:
-        raise DataError(f"need at least {C} points, got {N}")
+    x = _checked_latents(latents, C)
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(KMEANS_N_INIT):
@@ -165,24 +254,20 @@ def gmm_fit(latents: np.ndarray, C: int, seed: int) -> GmmModel:
     GMM_MAX_ITERS EM steps.  Variances are floored at GMM_REG_EPSILON at
     initialization and in every M step.
     """
-    x = np.asarray(latents, dtype=np.float64)
-    if x.ndim != 2:
-        raise DataError(f"latents must be 2-d, got shape {x.shape}")
+    x = _checked_latents(latents, C)
     N, m = x.shape
-    if N < C:
-        raise DataError(f"need at least {C} points, got {N}")
 
     centroids, labelling = kmeans_fit(x, C, seed)
-    weights = np.empty(C)
+    labels = labelling.labels
+    # each cluster's share of the points and x[labels == c].var(axis=0),
+    # bit for bit: the mean, then the mean squared deviation; an empty
+    # cluster's variance stays 0 and so lands on the floor
+    counts = np.bincount(labels, minlength=C)
+    dev = x - _cluster_means(x, labels, counts, out=np.zeros((C, m)))[labels]
+    variances = _cluster_means(dev * dev, labels, counts, out=np.zeros((C, m)))
+    covariances = np.maximum(variances, GMM_REG_EPSILON)
+    weights = np.maximum(counts / N, 1e-12)
     means = centroids.copy()
-    covariances = np.empty((C, m))
-    for c in range(C):
-        mask = labelling.labels == c
-        weights[c] = mask.mean()
-        covariances[c] = (
-            np.maximum(x[mask].var(axis=0), GMM_REG_EPSILON) if mask.any() else GMM_REG_EPSILON
-        )
-    weights = np.maximum(weights, 1e-12)
     weights /= weights.sum()
 
     trace: list = []

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spc.clustering as clustering
 from spc.clustering import (
@@ -83,6 +87,120 @@ def test_kmeans_inertia_non_increasing():
             assert b <= a + 1e-9
 
 
+def spy_on_nearest(monkeypatch):
+    """Record (centroids, assignment) of every assignment step of _lloyd."""
+    seen = []
+    nearest = clustering._nearest
+
+    def spy(x, xx, centroids):
+        assign = nearest(x, xx, centroids)
+        seen.append((centroids.copy(), assign.copy()))
+        return assign
+
+    monkeypatch.setattr(clustering, "_nearest", spy)
+    return seen
+
+
+def test_kmeans_trace_is_exact_inertia_bitwise(monkeypatch):
+    seen = spy_on_nearest(monkeypatch)
+    for s in range(10):
+        rng = np.random.default_rng(s)
+        x = rng.standard_normal((120, 6)) * 10.0 ** rng.integers(-3, 4)
+        seen.clear()
+        trace, _, _ = clustering._lloyd(x, 5, np.random.default_rng(s))
+        # no empty cluster, so each step's labels are _nearest's
+        assert len(trace) == len(seen)
+        for entry, (centroids, assign) in zip(trace, seen):
+            exact = clustering._sq_dists(x, centroids)[np.arange(len(x)), assign].sum()
+            assert np.float64(entry).tobytes() == exact.tobytes()
+
+
+def grid_with_symmetric_centroids(rng, n, m, C, offset, scale):
+    """Decimal-grid points with duplicates, and centroid pairs mirrored
+    through a grid point, so many points tie exactly between a pair."""
+    x = offset + rng.integers(-9, 10, (n, m)) / scale
+    x = np.ascontiguousarray(x[rng.integers(0, n, n)])
+    centre = offset + rng.integers(-3, 4, m) / scale
+    v = rng.integers(-3, 4, ((C + 1) // 2, m)) / scale
+    centroids = np.concatenate([centre + v, centre - v])[:C]
+    return x, centroids
+
+
+def plain_expansion_labels(x, centroids):
+    d = (x * x).sum(axis=1)[:, None] - 2.0 * x @ centroids.T + (centroids * centroids).sum(axis=1)
+    return d.argmin(axis=1)
+
+
+def test_lloyd_breaks_distance_ties_like_direct_formula(monkeypatch):
+    x, start = grid_with_symmetric_centroids(np.random.default_rng(0), 2000, 3, 6, 5e3, 10)
+    direct = clustering._sq_dists(x, start).argmin(axis=1)
+    # the expansion alone decides some tie differently, so the recheck runs
+    assert (plain_expansion_labels(x, start) != direct).any()
+
+    monkeypatch.setattr(clustering, "_kmeanspp_seed", lambda data, C, _rng: start.copy())
+    seen = spy_on_nearest(monkeypatch)
+    clustering._lloyd(x, 6, np.random.default_rng(1))
+    assert np.array_equal(seen[0][1], direct)
+    for centroids, assign in seen:
+        assert np.array_equal(assign, clustering._sq_dists(x, centroids).argmin(axis=1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 6),
+    C=st.integers(1, 8),
+    offset=st.sampled_from([0.0, -0.35, 5e3, -1.25e4, 3e7]),
+    scale=st.sampled_from([10.0, 100.0]),
+)
+def test_lloyd_labels_equal_direct_argmin_on_grids(seed, m, C, offset, scale):
+    rng = np.random.default_rng(seed)
+    x, start = grid_with_symmetric_centroids(rng, 300, m, C, offset, scale)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(clustering, "_kmeanspp_seed", lambda data, C, _rng: start.copy())
+        seen = spy_on_nearest(mp)
+        clustering._lloyd(x, C, rng)
+    for centroids, assign in seen:
+        assert np.array_equal(assign, clustering._sq_dists(x, centroids).argmin(axis=1))
+
+
+def test_nearest_rechecks_rows_whose_expansion_overflows():
+    # 2 x.c overflows, so a row's first two entries are both -inf and the
+    # expansion cannot tell them apart; the direct distances stay finite
+    x = np.array([[1.19e154, 0.0], [1.26e154, 0.0], [-1.2e154, 0.0]])
+    centroids = np.array([[1.2e154, 0.0], [1.25e154, 0.0], [-1.2e154, 0.0]])
+    with np.errstate(over="ignore"):
+        got = clustering._nearest(x, (x * x).sum(axis=1), centroids)
+        assert got.tolist() == clustering._sq_dists(x, centroids).argmin(axis=1).tolist()
+    assert got.tolist() == [0, 1, 2]
+
+
+@pytest.mark.parametrize("m", [1, 2, 7])
+def test_cluster_means_equal_per_cluster_mean_bitwise(m):
+    rng = np.random.default_rng(m)
+    x = 5e3 + rng.standard_normal((3000, m)) * 10.0 ** rng.integers(-4, 4, m)
+    assign = rng.integers(0, 4, 3000)
+    assign[assign == 2] = 3  # cluster 2 empty
+    out = rng.standard_normal((4, m))
+    kept = out[2].copy()
+    means = clustering._cluster_means(x, assign, np.bincount(assign, minlength=4), out=out)
+    assert means is out
+    for c in (0, 1, 3):
+        assert means[c].tobytes() == x[assign == c].mean(axis=0).tobytes()
+    assert means[2].tobytes() == kept.tobytes()
+
+
+@pytest.mark.parametrize("fit", [kmeans_fit, gmm_fit])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fits_reject_non_finite_latents(fit, bad):
+    x = np.random.default_rng(0).standard_normal((50, 3))
+    x[17, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="NaN or inf"):
+            fit(x, 3, seed=0)
+
+
 def test_kmeans_empty_cluster_reseeded(monkeypatch):
     # force both initial centroids onto the same point so one cluster starts
     # empty; the reseed must still produce a 2-cluster solution
@@ -158,6 +276,37 @@ def test_gmm_single_component_moments():
     assert np.abs(model.means[0] - x.mean(axis=0)).max() < 1e-9
     assert np.abs(model.covariances[0] - x.var(axis=0)).max() < 1e-9
     assert model.weights[0] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("m", [1, 4])
+def test_gmm_initialisation_equals_per_cluster_moments_bitwise(monkeypatch, m):
+    rng = np.random.default_rng(m)
+    x = 3.0 + rng.standard_normal((400, m)) * 10.0 ** rng.integers(-3, 3, m)
+    C = 4
+    centroids, labelling = kmeans_fit(x, C, seed=1)
+    labels = labelling.labels.copy()
+    labels[labels == 2] = 0  # cluster 2 empty
+    monkeypatch.setattr(
+        clustering, "kmeans_fit", lambda *_: (centroids, Labelling(labels=labels, n_clusters=C))
+    )
+    monkeypatch.setattr(clustering, "GMM_MAX_ITERS", 0)  # return the initial model
+    model = gmm_fit(x, C, seed=1)
+
+    weights = np.empty(C)
+    covariances = np.empty((C, m))
+    for c in range(C):
+        mask = labels == c
+        weights[c] = mask.mean()
+        covariances[c] = (
+            np.maximum(x[mask].var(axis=0), clustering.GMM_REG_EPSILON)
+            if mask.any()
+            else clustering.GMM_REG_EPSILON
+        )
+    weights = np.maximum(weights, 1e-12)
+    weights /= weights.sum()
+    assert model.weights.tobytes() == weights.tobytes()
+    assert model.means.tobytes() == centroids.tobytes()
+    assert model.covariances.tobytes() == covariances.tobytes()
 
 
 def test_gmm_covariances_floored():
