@@ -145,18 +145,22 @@ def _cluster_means(x: np.ndarray, assign: np.ndarray, counts: np.ndarray, out: n
 
 
 def _kmeanspp_seed(x: np.ndarray, C: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ centroids; NumericError when the squared distances overflow."""
     N = x.shape[0]
     centroids = np.empty((C, x.shape[1]))
     centroids[0] = x[rng.integers(N)]
-    d2 = ((x - centroids[0]) ** 2).sum(axis=1)
-    for c in range(1, C):
-        total = d2.sum()
-        if total <= 0:
-            # all remaining mass at distance zero: any point will do
-            centroids[c] = x[rng.integers(N)]
-        else:
-            centroids[c] = x[rng.choice(N, p=d2 / total)]
-        d2 = np.minimum(d2, ((x - centroids[c]) ** 2).sum(axis=1))
+    with np.errstate(over="ignore"):  # an overflow shows up as a non-finite total
+        d2 = ((x - centroids[0]) ** 2).sum(axis=1)
+        for c in range(1, C):
+            total = d2.sum()
+            if not np.isfinite(total):
+                raise NumericError("squared distances overflow in k-means++ seeding")
+            if total <= 0:
+                # all remaining mass at distance zero: any point will do
+                centroids[c] = x[rng.integers(N)]
+            else:
+                centroids[c] = x[rng.choice(N, p=d2 / total)]
+            d2 = np.minimum(d2, ((x - centroids[c]) ** 2).sum(axis=1))
     return centroids
 
 

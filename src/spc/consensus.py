@@ -20,18 +20,15 @@ from .clustering import Labelling
 from .errors import DataError
 
 
-def _assignment_cost(cost: np.ndarray, perm) -> float:
-    return float(sum(cost[r, perm[r]] for r in range(len(perm))))
-
-
 def _solve_assignment(cost: np.ndarray):
     """Minimum-cost perfect matching on a square matrix, O(n^3).
 
     Potentials u, v and matching p over 1-indexed arrays; p[j] is the row
-    matched to column j.  Returns perm with perm[row] = column.
+    matched to column j.  Returns (perm, u, v) with perm[row] = column and
+    the optimal dual potentials u[row], v[column]: cost - u[:, None] - v
+    is nonnegative and vanishes on every matched edge.
     """
     n = cost.shape[0]
-    INF = np.inf
     u = np.zeros(n + 1)
     v = np.zeros(n + 1)
     p = np.zeros(n + 1, dtype=np.int64)
@@ -39,22 +36,18 @@ def _solve_assignment(cost: np.ndarray):
     for i in range(1, n + 1):
         p[0] = i
         j0 = 0
-        minv = np.full(n + 1, INF)
+        minv = np.full(n + 1, np.inf)
         used = np.zeros(n + 1, dtype=bool)
         while True:
             used[j0] = True
             i0 = p[j0]
-            delta = INF
-            j1 = -1
-            for j in range(1, n + 1):
-                if not used[j]:
-                    cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
-                    if cur < minv[j]:
-                        minv[j] = cur
-                        way[j] = j0
-                    if minv[j] < delta:
-                        delta = minv[j]
-                        j1 = j
+            free = np.flatnonzero(~used)
+            cur = cost[i0 - 1, free - 1] - u[i0] - v[free]
+            lower = cur < minv[free]
+            minv[free[lower]] = cur[lower]
+            way[free[lower]] = j0
+            j1 = free[minv[free].argmin()]  # the first minimum, as a strict < scan takes
+            delta = minv[j1]
             u[p[used]] += delta
             v[used] -= delta
             minv[~used] -= delta
@@ -66,17 +59,25 @@ def _solve_assignment(cost: np.ndarray):
             p[j0] = p[j1]
             j0 = j1
     perm = np.zeros(n, dtype=np.int64)
-    for j in range(1, n + 1):
-        perm[p[j] - 1] = j - 1
-    return perm
+    perm[p[1:] - 1] = np.arange(n)
+    return perm, u[1:], v[1:]
 
 
 def hungarian(cost: np.ndarray) -> np.ndarray:
     """Permutation perm minimizing sum_r cost[r, perm[r]].
 
-    Among all optimal permutations, returns the lexicographically smallest:
-    row by row, the smallest column is kept whenever fixing it still allows
-    completing the matching at optimal total cost.
+    On integer-valued costs the result is the lexicographically smallest
+    optimal permutation; on other costs it is optimal up to rounding.
+
+    One solve gives an optimal matching and its dual potentials u, v.  By
+    complementary slackness the optimal permutations are exactly the perfect
+    matchings of the tight edges, cost - u - v == 0, which integer costs keep
+    exact.  Row by row, row r then keeps the smallest tight column, not
+    taken by an earlier row, that some such matching gives it: its current
+    column, or one whose row can hand its column on along an alternating
+    path through later rows that ends in row r's current column (Tassa
+    2012, finding all maximally-matchable edges).  The path found by
+    breadth-first search is applied to the matching.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
@@ -84,29 +85,25 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
     if not np.isfinite(cost).all():
         raise DataError("cost matrix must be finite")
     n = cost.shape[0]
-    if n == 1:
-        return np.zeros(1, dtype=np.int64)
-    best = _assignment_cost(cost, _solve_assignment(cost))
-    eps = 1e-9 * (1.0 + abs(best))
-    perm = np.zeros(n, dtype=np.int64)
-    free_cols = list(range(n))
-    prefix = 0.0
+    perm, u, v = _solve_assignment(cost)
+    tight = cost - u[:, None] - v <= 0
+    tight[np.arange(n), perm] = True
+    row_of = np.argsort(perm)
     for r in range(n):
-        for ci, c in enumerate(free_cols):
-            rest_rows = [i for i in range(r + 1, n)]
-            rest_cols = [x for x in free_cols if x != c]
-            if rest_rows:
-                sub = cost[np.ix_(rest_rows, rest_cols)]
-                completion = _assignment_cost(sub, _solve_assignment(sub))
-            else:
-                completion = 0.0
-            if prefix + cost[r, c] + completion <= best + eps:
-                perm[r] = c
-                prefix += cost[r, c]
-                free_cols.pop(ci)
-                break
-        else:
-            raise DataError("assignment refinement failed to complete")  # unreachable
+        # to[a]: the column row a takes when the path through it is applied
+        to = np.full(n, -1)
+        to[r] = perm[r]
+        queue = [perm[r]]
+        for col in queue:  # the list grows while it is read: breadth-first
+            later = np.flatnonzero(tight[r + 1 :, col] & (to[r + 1 :] < 0)) + r + 1
+            to[later] = col
+            queue.extend(perm[later])
+        c = np.flatnonzero(tight[r] & (row_of >= r) & (to[row_of] >= 0))[0]
+        a = row_of[c]
+        perm[r] = c
+        while a != r:
+            perm[a], a = to[a], row_of[to[a]]
+        row_of[perm] = np.arange(n)
     return perm
 
 
@@ -168,11 +165,8 @@ def consensus(labellings: list, n_clusters: int) -> ConsensusResult:
         aligned.append(align(ref, lab).labels)
     matrix = np.stack(aligned)
     agreement = (matrix == matrix[0]).all(axis=0)
-    counts = np.zeros((n_clusters, N), dtype=np.int64)
-    idx = np.arange(N)
-    for row in matrix:
-        np.add.at(counts, (row, idx), 1)
-    modes = counts.argmax(axis=0)  # argmax takes the lowest id on ties
+    counts = np.bincount((matrix * N + np.arange(N)).ravel(), minlength=n_clusters * N)
+    modes = counts.reshape(n_clusters, N).argmax(axis=0)  # argmax takes the lowest id on ties
     return ConsensusResult(
         consensus_labels=modes.astype(np.int64),
         agreement=agreement,

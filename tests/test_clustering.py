@@ -201,6 +201,17 @@ def test_fits_reject_non_finite_latents(fit, bad):
             fit(x, 3, seed=0)
 
 
+@pytest.mark.parametrize("fit", [kmeans_fit, gmm_fit])
+def test_fits_report_overflowing_seeding_distances_as_numeric(fit):
+    # finite latents whose squared distances overflow: the k-means++ draw has
+    # no finite weights, which the pipeline's member-failure rule must see
+    x = np.array([[1.2e154, 0.0], [-1.2e154, 0.0], [1.1e154, 0.0], [-1.3e154, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="overflow"):
+            fit(x, 2, seed=0)
+
+
 def test_kmeans_empty_cluster_reseeded(monkeypatch):
     # force both initial centroids onto the same point so one cluster starts
     # empty; the reseed must still produce a 2-cluster solution

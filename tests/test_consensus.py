@@ -17,7 +17,8 @@ from spc.consensus import (
     nmi,
     rand_index,
 )
-from spc.consensus import _cooccurrence
+import spc.consensus as consensus_module
+from spc.consensus import _cooccurrence, _solve_assignment
 from spc.errors import DataError
 
 
@@ -33,6 +34,68 @@ def brute_force_min(cost):
         elif abs(c - best_cost) <= 1e-12:
             best_perms.append(perm)
     return best_cost, best_perms
+
+
+def scalar_loop_assignment(cost):
+    """_solve_assignment with its column scan as a scalar loop, as it was
+    written before the scan became array operations: (perm, u, v)."""
+    n = cost.shape[0]
+    u, v = np.zeros(n + 1), np.zeros(n + 1)
+    p, way = np.zeros(n + 1, dtype=np.int64), np.zeros(n + 1, dtype=np.int64)
+    for i in range(1, n + 1):
+        p[0], j0 = i, 0
+        minv, used = np.full(n + 1, np.inf), np.zeros(n + 1, dtype=bool)
+        while True:
+            used[j0] = True
+            i0, delta, j1 = p[j0], np.inf, -1
+            for j in range(1, n + 1):
+                if not used[j]:
+                    cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
+                    if cur < minv[j]:
+                        minv[j], way[j] = cur, j0
+                    if minv[j] < delta:
+                        delta, j1 = minv[j], j
+            u[p[used]] += delta
+            v[used] -= delta
+            minv[~used] -= delta
+            j0 = j1
+            if p[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            p[j0] = p[j1]
+            j0 = j1
+    perm = np.zeros(n, dtype=np.int64)
+    for j in range(1, n + 1):
+        perm[p[j] - 1] = j - 1
+    return perm, u[1:], v[1:]
+
+
+def eps_refined_assignment(cost):
+    """The lexicographically smallest optimal perm by re-solving: row by row,
+    keep the smallest column whose optimal completion reaches the optimum
+    within a relative eps."""
+
+    def solved_cost(sub):
+        perm = _solve_assignment(sub)[0]
+        return float(sum(sub[r, perm[r]] for r in range(len(perm))))
+
+    n = cost.shape[0]
+    best = solved_cost(cost)
+    eps = 1e-9 * (1.0 + abs(best))
+    perm = np.zeros(n, dtype=np.int64)
+    free_cols = list(range(n))
+    prefix = 0.0
+    for r in range(n):
+        for c in free_cols:
+            rest_cols = [x for x in free_cols if x != c]
+            completion = solved_cost(cost[np.ix_(range(r + 1, n), rest_cols)])
+            if prefix + cost[r, c] + completion <= best + eps:
+                perm[r] = c
+                prefix += cost[r, c]
+                free_cols.remove(c)
+                break
+    return perm
 
 
 # ---- hungarian ----
@@ -78,6 +141,26 @@ def test_hungarian_input_validation():
     with pytest.raises(DataError):
         hungarian(bad)
     assert hungarian(np.zeros((1, 1))).tolist() == [0]
+
+
+def test_solve_assignment_equals_the_scalar_loop_bitwise():
+    rng = np.random.default_rng(16)
+    for n in (1, 2, 5, 9, 24):
+        for cost in (rng.random((n, n)), rng.integers(-3, 3, (n, n)).astype(float)):
+            for got, expect in zip(_solve_assignment(cost), scalar_loop_assignment(cost)):
+                assert got.tobytes() == expect.tobytes()
+
+
+def test_hungarian_solves_once(monkeypatch):
+    calls = []
+
+    def counted(cost):
+        calls.append(cost.shape)
+        return _solve_assignment(cost)
+
+    monkeypatch.setattr(consensus_module, "_solve_assignment", counted)
+    hungarian(np.zeros((6, 6)))
+    assert calls == [(6, 6)]
 
 
 # ---- align ----
@@ -420,3 +503,46 @@ def test_consensus_invariant_under_member_relabelling(ensemble):
         assert np.array_equal(after.consensus_labels[agreed], perm[before.consensus_labels[agreed]])
     else:
         assert np.array_equal(after.consensus_labels, before.consensus_labels)
+
+
+@st.composite
+def integer_cost_tables(draw, max_n):
+    """Tie-heavy integer tables: 0/1/2-valued costs, or negated co-occurrence
+    counts of two labellings, as alignment builds them."""
+    n = draw(st.integers(1, max_n))
+    if draw(st.booleans()):
+        cells = draw(st.lists(st.integers(0, 2), min_size=n * n, max_size=n * n))
+        return np.array(cells, dtype=np.float64).reshape(n, n)
+    N = draw(st.integers(1, 4 * n))
+    labels = np.array(draw(st.lists(st.integers(0, n - 1), min_size=N, max_size=N)))
+    reference = np.array(draw(st.lists(st.integers(0, n - 1), min_size=N, max_size=N)))
+    return -_cooccurrence(labels, reference, n, n)
+
+
+@SETTINGS
+@given(integer_cost_tables(max_n=6))
+def test_hungarian_is_the_smallest_optimal_perm(cost):
+    _, best_perms = brute_force_min(cost)
+    assert tuple(hungarian(cost).tolist()) == min(best_perms)
+
+
+@SETTINGS
+@given(integer_cost_tables(max_n=10))
+def test_hungarian_equals_the_eps_refinement(cost):
+    assert hungarian(cost).tolist() == eps_refined_assignment(cost).tolist()
+
+
+@SETTINGS
+@given(labelling_pairs(), st.data())
+def test_nmi_and_rand_index_bounded_symmetric_and_id_blind(pair, data):
+    pred, truth = pair
+    p = np.array(data.draw(st.permutations(range(pred.n_clusters))))
+    t = np.array(data.draw(st.permutations(range(truth.n_clusters))))
+    pred_p = Labelling(p[pred.labels], pred.n_clusters)
+    truth_t = Labelling(t[truth.labels], truth.n_clusters)
+    for metric in [nmi] if pred.n_points < 2 else [nmi, rand_index]:
+        value = metric(pred, truth)
+        assert 0.0 <= value <= 1.0
+        assert metric(truth, pred) == pytest.approx(value, abs=1e-12)
+        assert metric(pred_p, truth) == pytest.approx(value, abs=1e-12)
+        assert metric(pred, truth_t) == pytest.approx(value, abs=1e-12)
