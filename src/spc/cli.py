@@ -23,6 +23,7 @@ import argparse
 import configparser
 import csv
 import dataclasses
+import inspect
 import json
 import logging
 import os
@@ -39,7 +40,7 @@ from .data import BlobSpec, load_idx, make_blobs, normalize
 from .errors import ConfigError, DataError, NumericError, SpcError
 from .network import save_member
 from .pipeline import SpcConfig, spc_train, _member_streams
-from .theory import constant_point, default_samplers, run_theory_suite
+from .theory import constant_point, default_samplers, entropy_grid, run_theory_suite
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -47,40 +48,20 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 EXIT_CLAIM = 4
 
-BLOBS_DEFAULTS = {
-    "n_clusters": 4,
-    "points_per_cluster": 200,
-    "ambient_dim": 50,
-    "centroid_separation": 8.0,
-    "within_cluster_stddev": 1.0,
-    "seed": 0,
-}
+BLOBS_DEFAULTS = dataclasses.asdict(BlobSpec())
 
 # n_clusters 0 means "take it from the label file"
 IDX_DEFAULTS = {"n_clusters": 0}
 
+# [theory] is run_theory_suite's keyword defaults plus the default sampler names
 THEORY_DEFAULTS = {
-    "dim": 4,
-    "eta": 0.05,
-    "w_prime": 1.0,
-    "n_samples": 100_000,
-    "n_trials": 10_000,
-    "seed": 0,
-    "samplers": "two_point,gauss_pair,uniform_cube,rademacher,sphere_shell",
+    name: param.default
+    for name, param in inspect.signature(run_theory_suite).parameters.items()
+    if name != "samplers"
 }
+THEORY_DEFAULTS["samplers"] = ",".join(default_samplers(THEORY_DEFAULTS["dim"]))
 
 KNOWN_SECTIONS = ("spc", "blobs", "idx", "theory")
-
-_BOOL_WORDS = {
-    "1": True,
-    "yes": True,
-    "true": True,
-    "on": True,
-    "0": False,
-    "no": False,
-    "false": False,
-    "off": False,
-}
 
 
 def _spc_defaults() -> dict:
@@ -96,11 +77,12 @@ def read_config(path: str | None) -> dict:
         return {}
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
+    # values are taken literally: no %-interpolation
+    parser = configparser.ConfigParser(interpolation=None)
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             parser.read_file(f)
-    except (OSError, configparser.Error) as exc:
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     for section in parser.sections():
         if section not in KNOWN_SECTIONS:
@@ -122,9 +104,9 @@ def _parse_value(section: str, key: str, text: str, default):
             return tuple(int(p) for p in parts)
         if isinstance(default, bool):
             word = text.lower()
-            if word not in _BOOL_WORDS:
+            if word not in configparser.ConfigParser.BOOLEAN_STATES:
                 raise ValueError(f"not a boolean: {text!r}")
-            return _BOOL_WORDS[word]
+            return configparser.ConfigParser.BOOLEAN_STATES[word]
         if isinstance(default, int):
             return int(text, 10)
         if isinstance(default, float):
@@ -340,12 +322,13 @@ def cmd_run(args) -> int:
 def _read_label_csv(path: str) -> np.ndarray:
     """Read labels from a one-column CSV or an (index, label) CSV.
 
-    A leading header row is skipped; two-column files are ordered by index.
+    A leading header row is skipped; two-column files are ordered by index,
+    and their indices must be exactly 0..N-1, each once.
     """
     try:
-        with open(path, newline="") as f:
+        with open(path, newline="", encoding="utf-8") as f:
             rows = [row for row in csv.reader(f) if any(cell.strip() for cell in row)]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read label file {path}: {exc}") from exc
     if rows and not all(cell.strip().lstrip("-").isdigit() for cell in rows[0]):
         rows = rows[1:]
@@ -356,6 +339,8 @@ def _read_label_csv(path: str) -> np.ndarray:
             labels = np.array([int(row[0]) for row in rows], dtype=np.int64)
         else:
             pairs = sorted((int(row[0]), int(row[1])) for row in rows)
+            if [i for i, _ in pairs] != list(range(len(pairs))):
+                raise DataError(f"indices in {path} are not 0..{len(pairs) - 1}, each once")
             labels = np.array([label for _, label in pairs], dtype=np.int64)
     except (ValueError, IndexError) as exc:
         raise DataError(f"malformed label row in {path}: {exc}") from exc
@@ -406,25 +391,12 @@ def _make_samplers(names: list, dim: int) -> dict:
 
 
 def _write_entropy_curve(path: str) -> None:
-    from .theory import entropy_curve
-
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["n_clusters", "t", "entropy"])
-        for C in range(2, 21):
-            for t, h in entropy_curve(C, np.linspace(1.0 / C, 1.0, 100)):
+        for C, curve in entropy_grid():
+            for t, h in curve:
                 writer.writerow([C, f"{t:.10g}", f"{h:.10g}"])
-
-
-def _claim_lines(report) -> list:
-    lines = [("entropy", report.entropy.get("passed", False))]
-    for name, entry in sorted(report.lemma1.items()):
-        lines.append((f"lemma1[{name}]", entry.get("passed", False)))
-    for name, entry in sorted(report.lemma2.items()):
-        lines.append((f"lemma2[{name}]", entry.get("passed", False)))
-    lines.append(("lemma3", report.lemma3.get("passed", False)))
-    lines.append(("theorem", report.theorem.get("passed", False)))
-    return lines
 
 
 def cmd_verify_theory(args) -> int:
@@ -432,18 +404,8 @@ def cmd_verify_theory(args) -> int:
     th = coerce_section("theory", sections.get("theory", {}), THEORY_DEFAULTS)
     if args.seed is not None:
         th["seed"] = args.seed
-    names = [n for n in th["samplers"].replace(",", " ").split()]
-    samplers = _make_samplers(names, th["dim"])
-
-    report = run_theory_suite(
-        dim=th["dim"],
-        eta=th["eta"],
-        w_prime=th["w_prime"],
-        n_samples=th["n_samples"],
-        n_trials=th["n_trials"],
-        seed=th["seed"],
-        samplers=samplers,
-    )
+    names = th.pop("samplers").replace(",", " ").split()
+    report = run_theory_suite(**th, samplers=_make_samplers(names, th["dim"]))
 
     out, stage = _stage_for(args.out)
     try:
@@ -455,7 +417,7 @@ def cmd_verify_theory(args) -> int:
         if os.path.isdir(stage):
             shutil.rmtree(stage)
 
-    for name, passed in _claim_lines(report):
+    for name, passed in report.claims():
         print(f"{name}: {'pass' if passed else 'FAIL'}")
     if report.all_passed():
         print(f"all claims hold -> {out}")

@@ -67,14 +67,18 @@ class Dataset:
 
 @dataclass(frozen=True)
 class BlobSpec:
-    """Parameters of an isotropic Gaussian blob mixture."""
+    """Parameters of an isotropic Gaussian blob mixture.
 
-    n_clusters: int
-    points_per_cluster: int
-    ambient_dim: int
-    centroid_separation: float
-    within_cluster_stddev: float
-    seed: int
+    The defaults describe the canonical blob experiment; the CLI's [blobs]
+    section takes its defaults from here.
+    """
+
+    n_clusters: int = 4
+    points_per_cluster: int = 200
+    ambient_dim: int = 50
+    centroid_separation: float = 8.0
+    within_cluster_stddev: float = 1.0
+    seed: int = 0
 
     def __post_init__(self):
         if self.n_clusters < 2:
@@ -91,6 +95,14 @@ class BlobSpec:
             raise DataError(f"seed must be >= 0, got {self.seed}")
 
 
+def _read_bytes(path) -> bytes:
+    try:
+        with open(path, "rb") as f:
+            return f.read()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+
+
 def _read_u32(buf: bytes, offset: int, path: str) -> int:
     if offset + 4 > len(buf):
         raise DataError(f"{path}: truncated header at byte offset {offset}")
@@ -99,8 +111,7 @@ def _read_u32(buf: bytes, offset: int, path: str) -> int:
 
 def read_idx_images(path) -> np.ndarray:
     """Read an IDX image file into a uint8 array of shape (N, rows, cols)."""
-    with open(path, "rb") as f:
-        buf = f.read()
+    buf = _read_bytes(path)
     magic = _read_u32(buf, 0, str(path))
     if magic != IDX_IMAGE_MAGIC:
         raise DataError(
@@ -120,8 +131,7 @@ def read_idx_images(path) -> np.ndarray:
 
 def read_idx_labels(path) -> np.ndarray:
     """Read an IDX label file into a uint8 vector of shape (N,)."""
-    with open(path, "rb") as f:
-        buf = f.read()
+    buf = _read_bytes(path)
     magic = _read_u32(buf, 0, str(path))
     if magic != IDX_LABEL_MAGIC:
         raise DataError(

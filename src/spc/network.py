@@ -26,7 +26,7 @@ LEAKY_SLOPE = 0.01
 CE_CLAMP = 1e-12
 CLASSIFIER_HIDDEN = 25  # fixed width of the classifier's single hidden layer
 
-_ACTIVATIONS = ("leaky_relu", "tanh", "identity", "softmax")
+_ACTIVATIONS = ("leaky_relu", "tanh", "softmax")
 
 
 def _apply_activation(z: np.ndarray, kind: str) -> np.ndarray:
@@ -37,8 +37,6 @@ def _apply_activation(z: np.ndarray, kind: str) -> np.ndarray:
         return np.maximum(z, a, out=a)
     if kind == "tanh":
         return np.tanh(z)
-    if kind == "identity":
-        return z
     if kind == "softmax":
         shifted = z - z.max(axis=1, keepdims=True)
         e = np.exp(shifted)
@@ -58,8 +56,6 @@ def _activation_backward(grad_a: np.ndarray, z: np.ndarray, a: np.ndarray, kind:
         return factor
     if kind == "tanh":
         return grad_a * (1.0 - a * a)
-    if kind == "identity":
-        return grad_a
     if kind == "softmax":
         # rows couple: dL/dz_k = p_k (dL/da_k - sum_i dL/da_i p_i)
         inner = (grad_a * a).sum(axis=1, keepdims=True)
@@ -357,10 +353,10 @@ CHECKPOINT_VERSION = 1
 _STACKS = ("encoder", "decoder", "classifier")
 
 
-def member_state(member: AutoencoderMember, prefix: str = "") -> dict:
+def member_state(member: AutoencoderMember) -> dict:
     """Flat array dict describing a member; row-major matrices with shapes."""
     state = {
-        prefix + "meta": np.array(
+        "meta": np.array(
             [
                 CHECKPOINT_VERSION,
                 member.input_dim,
@@ -370,19 +366,19 @@ def member_state(member: AutoencoderMember, prefix: str = "") -> dict:
             ],
             dtype=np.uint64,
         ),
-        prefix + "noise_stddev": np.array(member.noise_stddev),
-        prefix + "hidden_widths": np.array(member.hidden_widths, dtype=np.int64),
+        "noise_stddev": np.array(member.noise_stddev),
+        "hidden_widths": np.array(member.hidden_widths, dtype=np.int64),
     }
     for name in _STACKS:
         mlp = getattr(member, name)
         for l in range(mlp.n_layers):
-            state[f"{prefix}{name}_w{l}"] = np.ascontiguousarray(mlp.weights[l])
-            state[f"{prefix}{name}_b{l}"] = np.ascontiguousarray(mlp.biases[l])
+            state[f"{name}_w{l}"] = np.ascontiguousarray(mlp.weights[l])
+            state[f"{name}_b{l}"] = np.ascontiguousarray(mlp.biases[l])
     return state
 
 
-def member_from_state(state, prefix: str = "") -> AutoencoderMember:
-    meta = np.asarray(state[prefix + "meta"], dtype=np.uint64)
+def member_from_state(state) -> AutoencoderMember:
+    meta = np.asarray(state["meta"], dtype=np.uint64)
     if meta[0] != CHECKPOINT_VERSION:
         raise DataError(f"unsupported checkpoint version {meta[0]}")
     member = AutoencoderMember(
@@ -390,14 +386,14 @@ def member_from_state(state, prefix: str = "") -> AutoencoderMember:
         int(meta[2]),
         int(meta[3]),
         int(meta[4]),
-        noise_stddev=float(state[prefix + "noise_stddev"]),
-        hidden_widths=tuple(int(w) for w in state[prefix + "hidden_widths"]),
+        noise_stddev=float(state["noise_stddev"]),
+        hidden_widths=tuple(int(w) for w in state["hidden_widths"]),
     )
     for name in _STACKS:
         mlp = getattr(member, name)
         for l in range(mlp.n_layers):
-            w = np.asarray(state[f"{prefix}{name}_w{l}"], dtype=np.float64)
-            b = np.asarray(state[f"{prefix}{name}_b{l}"], dtype=np.float64)
+            w = np.asarray(state[f"{name}_w{l}"], dtype=np.float64)
+            b = np.asarray(state[f"{name}_b{l}"], dtype=np.float64)
             if w.shape != mlp.weights[l].shape or b.shape != mlp.biases[l].shape:
                 raise DataError(f"checkpoint shape mismatch in {name} layer {l}")
             mlp.weights[l] = w.copy()

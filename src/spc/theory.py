@@ -21,13 +21,15 @@ sufficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DataError
 
 MIN_MC_SAMPLES = 10_000
+ENTROPY_CLASS_COUNTS = range(2, 21)
+ENTROPY_GRID_POINTS = 100
 
 
 @dataclass(frozen=True)
@@ -110,30 +112,15 @@ def entropy_curve(C: int, t_grid) -> list:
     return out
 
 
-def gd_update_same(model: LinearModel, x: np.ndarray, x_prime: np.ndarray) -> LinearModel:
-    """w <- w - eta * w' * (x + x'), the equal-labels gradient step."""
-    x = np.asarray(x, dtype=np.float64)
-    x_prime = np.asarray(x_prime, dtype=np.float64)
-    if x.shape != (model.dim,) or x_prime.shape != (model.dim,):
-        raise DataError("points must match the model dimension")
-    return LinearModel(
-        w=model.w - model.eta * model.w_prime * (x + x_prime),
-        w_prime=model.w_prime,
-        eta=model.eta,
-    )
+def entropy_grid() -> list:
+    """(C, entropy_curve) for every C in ENTROPY_CLASS_COUNTS on [1/C, 1].
 
-
-def gd_update_diff(model: LinearModel, x: np.ndarray, x_prime: np.ndarray) -> LinearModel:
-    """w <- w - eta * w' * (x - x'), the different-labels gradient step."""
-    x = np.asarray(x, dtype=np.float64)
-    x_prime = np.asarray(x_prime, dtype=np.float64)
-    if x.shape != (model.dim,) or x_prime.shape != (model.dim,):
-        raise DataError("points must match the model dimension")
-    return LinearModel(
-        w=model.w - model.eta * model.w_prime * (x - x_prime),
-        w_prime=model.w_prime,
-        eta=model.eta,
-    )
+    The one grid behind the entropy claim and the entropy_curve.csv artifact.
+    """
+    return [
+        (C, entropy_curve(C, np.linspace(1.0 / C, 1.0, ENTROPY_GRID_POINTS)))
+        for C in ENTROPY_CLASS_COUNTS
+    ]
 
 
 # ---- samplers -------------------------------------------------------------
@@ -194,11 +181,24 @@ def constant_point(v) -> callable:
     return sample
 
 
-def _draw(sampler, rng, size, dim):
-    x = np.asarray(sampler(rng, size), dtype=np.float64)
-    if x.shape != (size, dim):
-        raise DataError(f"sampler produced shape {x.shape}, expected ({size}, {dim})")
-    return x
+def _draw_sets(sampler, dim: int, n_samples: int, seed: int, n_sets: int) -> list:
+    """n_sets independent (n_samples, dim) draws from one seeded stream, in order.
+
+    The first two draws are the pair (x, x'); the claims say nothing when
+    both come out constant, so that is rejected as a degenerate sampler.
+    """
+    if n_samples < MIN_MC_SAMPLES:
+        raise ConfigError(f"need at least {MIN_MC_SAMPLES} samples, got {n_samples}")
+    rng = np.random.default_rng(seed)
+    sets = []
+    for _ in range(n_sets):
+        x = np.asarray(sampler(rng, n_samples), dtype=np.float64)
+        if x.shape != (n_samples, dim):
+            raise DataError(f"sampler produced shape {x.shape}, expected ({n_samples}, {dim})")
+        sets.append(x)
+    if np.ptp(sets[0], axis=0).max() == 0.0 and np.ptp(sets[1], axis=0).max() == 0.0:
+        raise DataError("degenerate sampler: all drawn points identical")
+    return sets
 
 
 def _mean_stderr(values: np.ndarray):
@@ -207,22 +207,31 @@ def _mean_stderr(values: np.ndarray):
     return mean, stderr
 
 
+def _paired_claim(ew: float, first, second, diff_key: str, holds, **extra) -> dict:
+    """Summarise two paired samples and judge a claim on their difference.
+
+    ``first`` and ``second`` are (key, values) over the same draws; the
+    paired difference is first - second, so its standard error reflects the
+    pairing.  ``holds(mean, stderr)`` judges that difference.  At
+    eta*w' = 0 the claim is vacuous: it is marked not applicable and passes
+    only as an exact equality.
+    """
+    out = dict(extra)
+    for key, values in (first, second, (diff_key, first[1] - second[1])):
+        out[key], out[key + "_stderr"] = _mean_stderr(values)
+    mean, stderr = out[diff_key], out[diff_key + "_stderr"]
+    out["applicable"] = ew != 0.0
+    out["passed"] = bool(holds(mean, stderr) if out["applicable"] else mean == 0.0)
+    return out
+
+
 def lemma1_experiment(sampler, model: LinearModel, n_samples: int, seed: int) -> dict:
     """Monte Carlo check that u_diff - u_same >= (eta w')^2 E[|x-x'|^2]^2.
 
     u_same = E[((w - eta w'(x+x'))^T (x-x'))^2]
     u_diff = E[((w - eta w'(x-x'))^T (x-x'))^2]
-
-    Sampling is paired: both statistics use the same draws, so the gap
-    estimate's standard error reflects the paired difference.
     """
-    if n_samples < MIN_MC_SAMPLES:
-        raise ConfigError(f"need at least {MIN_MC_SAMPLES} samples, got {n_samples}")
-    rng = np.random.default_rng(seed)
-    x = _draw(sampler, rng, n_samples, model.dim)
-    xp = _draw(sampler, rng, n_samples, model.dim)
-    if np.ptp(x, axis=0).max() == 0.0 and np.ptp(xp, axis=0).max() == 0.0:
-        raise DataError("degenerate sampler: all drawn points identical")
+    x, xp = _draw_sets(sampler, model.dim, n_samples, seed, 2)
     diff = x - xp
     w_dot = diff @ model.w
     ew = model.eta * model.w_prime
@@ -230,27 +239,16 @@ def lemma1_experiment(sampler, model: LinearModel, n_samples: int, seed: int) ->
     sq_dist = (diff**2).sum(axis=1)
     same_vals = (w_dot - ew * sq_norm_gap) ** 2
     diff_vals = (w_dot - ew * sq_dist) ** 2
-    u_same, u_same_se = _mean_stderr(same_vals)
-    u_diff, u_diff_se = _mean_stderr(diff_vals)
-    gap, gap_se = _mean_stderr(diff_vals - same_vals)
     bound = ew**2 * float(sq_dist.mean()) ** 2
-    applicable = ew != 0.0
-    if applicable:
-        passed = gap >= bound - 3.0 * gap_se
-    else:
-        passed = gap == 0.0
-    return {
-        "u_same": u_same,
-        "u_same_stderr": u_same_se,
-        "u_diff": u_diff,
-        "u_diff_stderr": u_diff_se,
-        "gap": gap,
-        "gap_stderr": gap_se,
-        "bound": bound,
-        "n_samples": n_samples,
-        "applicable": applicable,
-        "passed": bool(passed),
-    }
+    return _paired_claim(
+        ew,
+        ("u_diff", diff_vals),
+        ("u_same", same_vals),
+        "gap",
+        lambda gap, se: gap >= bound - 3.0 * se,
+        bound=bound,
+        n_samples=n_samples,
+    )
 
 
 def lemma2_experiment(sampler, model: LinearModel, n_samples: int, seed: int) -> dict:
@@ -259,42 +257,24 @@ def lemma2_experiment(sampler, model: LinearModel, n_samples: int, seed: int) ->
     v_same = E[((w - eta w'(x+x'))^T (x-z))^2]
     v_diff = E[((w - eta w'(x-x'))^T (x-z))^2]
     """
-    if n_samples < MIN_MC_SAMPLES:
-        raise ConfigError(f"need at least {MIN_MC_SAMPLES} samples, got {n_samples}")
-    rng = np.random.default_rng(seed)
-    x = _draw(sampler, rng, n_samples, model.dim)
-    xp = _draw(sampler, rng, n_samples, model.dim)
-    z = _draw(sampler, rng, n_samples, model.dim)
-    if np.ptp(x, axis=0).max() == 0.0 and np.ptp(xp, axis=0).max() == 0.0:
-        raise DataError("degenerate sampler: all drawn points identical")
+    x, xp, z = _draw_sets(sampler, model.dim, n_samples, seed, 3)
     xz = x - z
     w_dot = xz @ model.w
     ew = model.eta * model.w_prime
     same_vals = (w_dot - ew * ((x + xp) * xz).sum(axis=1)) ** 2
     diff_vals = (w_dot - ew * ((x - xp) * xz).sum(axis=1)) ** 2
-    v_same, v_same_se = _mean_stderr(same_vals)
-    v_diff, v_diff_se = _mean_stderr(diff_vals)
-    delta, delta_se = _mean_stderr(diff_vals - same_vals)
-    applicable = ew != 0.0
-    if applicable:
-        passed = abs(delta) <= 4.0 * delta_se
-    else:
-        passed = delta == 0.0
-    return {
-        "v_same": v_same,
-        "v_same_stderr": v_same_se,
-        "v_diff": v_diff,
-        "v_diff_stderr": v_diff_se,
-        "delta": delta,
-        "delta_stderr": delta_se,
-        "n_samples": n_samples,
-        "applicable": applicable,
-        "passed": bool(passed),
-    }
+    return _paired_claim(
+        ew,
+        ("v_diff", diff_vals),
+        ("v_same", same_vals),
+        "delta",
+        lambda delta, se: abs(delta) <= 4.0 * se,
+        n_samples=n_samples,
+    )
 
 
-def _variance_d(encoded: np.ndarray, labels: np.ndarray, C: int) -> float:
-    """d = Var(E[X|Y]) - E[Var(X|Y)], coordinates summed, population variances.
+def _variance_d(encoded: np.ndarray, labels: np.ndarray, C: int) -> np.ndarray:
+    """d = Var(E[X|Y]) - E[Var(X|Y)] per column of ``encoded``, population variances.
 
     Assumes equal cluster sizes, so Y is uniform over the C clusters.
     """
@@ -302,13 +282,14 @@ def _variance_d(encoded: np.ndarray, labels: np.ndarray, C: int) -> float:
     grand = means.mean(axis=0)
     var_between = ((means - grand) ** 2).mean(axis=0)
     var_within = np.stack([encoded[labels == c].var(axis=0) for c in range(C)]).mean(axis=0)
-    return float((var_between - var_within).sum())
+    return var_between - var_within
 
 
 def lemma3_check(dataset: TheoryDataset, encoder: np.ndarray):
     """Both sides of d = (C-1)/(2C) r - (2C-1)/(2C) s, computed exactly.
 
-    r and s are mean squared encoded distances over ordered pairs drawn with
+    d sums the per-coordinate statistic over the encoded coordinates.  r and
+    s are mean squared encoded distances over ordered pairs drawn with
     replacement (the identity pair counts toward s), matching the
     Var(T) = (1/2) E[(x-x')^2] convention.  Returns (d, lam1*r - lam2*s,
     lam1, lam2).
@@ -318,7 +299,7 @@ def lemma3_check(dataset: TheoryDataset, encoder: np.ndarray):
         raise DataError("encoder input dimension does not match the dataset")
     C = dataset.n_clusters
     encoded = dataset.points @ A.T
-    d = _variance_d(encoded, dataset.labels, C)
+    d = float(_variance_d(encoded, dataset.labels, C).sum())
     sq = ((encoded[:, None, :] - encoded[None, :, :]) ** 2).sum(axis=2)
     same = dataset.labels[:, None] == dataset.labels[None, :]
     s = float(sq[same].mean())
@@ -359,43 +340,25 @@ def theorem_experiment(dataset: TheoryDataset, model: LinearModel, n_trials: int
     diff_upd = model.w[None, :] - ew * (xi - xj)
     w_correct = np.where(same_cluster[:, None], sum_upd, diff_upd)
     w_incorrect = np.where(same_cluster[:, None], diff_upd, sum_upd)
-
-    def d_rows(W):
-        enc = W @ X.T  # (trials, N) scalar encodings
-        m0 = enc[:, y == 0].mean(axis=1)
-        m1 = enc[:, y == 1].mean(axis=1)
-        grand = (m0 + m1) / 2.0
-        var_b = ((m0 - grand) ** 2 + (m1 - grand) ** 2) / 2.0
-        var_w = (enc[:, y == 0].var(axis=1) + enc[:, y == 1].var(axis=1)) / 2.0
-        return var_b - var_w
-
-    d_t = d_rows(w_correct)
-    d_f = d_rows(w_incorrect)
-    d_t_mean, d_t_se = _mean_stderr(d_t)
-    d_f_mean, d_f_se = _mean_stderr(d_f)
-    diff_mean, diff_se = _mean_stderr(d_t - d_f)
-    applicable = ew != 0.0
-    if applicable:
-        passed = diff_mean > 3.0 * diff_se
-    else:
-        passed = diff_mean == 0.0
-    return {
-        "d_t": d_t_mean,
-        "d_t_stderr": d_t_se,
-        "d_f": d_f_mean,
-        "d_f_stderr": d_f_se,
-        "diff": diff_mean,
-        "diff_stderr": diff_se,
-        "n_trials": n_trials,
-        "applicable": applicable,
-        "passed": bool(passed),
-    }
+    # one column of scalar encodings per trial
+    d_t = _variance_d((w_correct @ X.T).T, y, 2)
+    d_f = _variance_d((w_incorrect @ X.T).T, y, 2)
+    return _paired_claim(
+        ew,
+        ("d_t", d_t),
+        ("d_f", d_f),
+        "diff",
+        lambda diff, se: diff > 3.0 * se,
+        n_trials=n_trials,
+    )
 
 
 # ---- full suite -----------------------------------------------------------
 
 
 def default_samplers(dim: int) -> dict:
+    if dim < 1:
+        raise ConfigError(f"dim must be >= 1, got {dim}")
     v = np.zeros(dim)
     v[0] = 1.0
     mu = np.full(dim, 0.5)
@@ -418,20 +381,21 @@ class TheoryReport:
     lemma3: dict = field(default_factory=dict)
     theorem: dict = field(default_factory=dict)
 
+    def claims(self) -> list:
+        """(name, passed) for every claim, in report order."""
+        lines = [("entropy", self.entropy.get("passed", False))]
+        for lemma in ("lemma1", "lemma2"):
+            for name, entry in sorted(getattr(self, lemma).items()):
+                lines.append((f"{lemma}[{name}]", entry.get("passed", False)))
+        lines.append(("lemma3", self.lemma3.get("passed", False)))
+        lines.append(("theorem", self.theorem.get("passed", False)))
+        return lines
+
     def all_passed(self) -> bool:
-        claims = [self.entropy, self.lemma3, self.theorem]
-        claims += list(self.lemma1.values()) + list(self.lemma2.values())
-        return all(c.get("passed", False) for c in claims)
+        return all(passed for _, passed in self.claims())
 
     def to_json_dict(self) -> dict:
-        return {
-            "entropy": self.entropy,
-            "lemma1": self.lemma1,
-            "lemma2": self.lemma2,
-            "lemma3": self.lemma3,
-            "theorem": self.theorem,
-            "all_passed": self.all_passed(),
-        }
+        return {**asdict(self), "all_passed": self.all_passed()}
 
 
 def separable_two_cluster_dataset(n_per: int, dim: int, separation: float, seed: int) -> TheoryDataset:
@@ -471,13 +435,12 @@ def run_theory_suite(
 
     # entropy monotonicity across C, via finite differences on a dense grid
     worst = -np.inf
-    for C in range(2, 21):
-        curve = entropy_curve(C, np.linspace(1.0 / C, 1.0, 100))
+    for _, curve in entropy_grid():
         h = np.array([p[1] for p in curve])
         worst = max(worst, float(np.diff(h).max()))
     report.entropy = {
-        "c_values": "2..20",
-        "grid_size": 100,
+        "c_values": f"{ENTROPY_CLASS_COUNTS[0]}..{ENTROPY_CLASS_COUNTS[-1]}",
+        "grid_size": ENTROPY_GRID_POINTS,
         "max_slope": worst,
         "passed": bool(worst < 0.0),
     }
@@ -491,17 +454,17 @@ def run_theory_suite(
     )
     if samplers is None:
         samplers = default_samplers(dim)
-    seeds = root.spawn(2 * len(samplers) + 2)
-    k = 0
-    for name, sampler in samplers.items():
-        s1 = int(seeds[k].generate_state(1, dtype=np.uint64)[0])
-        s2 = int(seeds[k + 1].generate_state(1, dtype=np.uint64)[0])
-        k += 2
-        report.lemma1[name] = lemma1_experiment(sampler, model, n_samples, s1)
-        report.lemma2[name] = lemma2_experiment(sampler, model, n_samples, s2)
+    # two seeds per sampler, then one for lemma 3 and one for the theorem
+    seeds = [
+        int(child.generate_state(1, dtype=np.uint64)[0])
+        for child in root.spawn(2 * len(samplers) + 2)
+    ]
+    for k, (name, sampler) in enumerate(samplers.items()):
+        report.lemma1[name] = lemma1_experiment(sampler, model, n_samples, seeds[2 * k])
+        report.lemma2[name] = lemma2_experiment(sampler, model, n_samples, seeds[2 * k + 1])
 
     # exact identity on random equal-size datasets
-    id_rng = np.random.default_rng(seeds[k].generate_state(1, dtype=np.uint64)[0])
+    id_rng = np.random.default_rng(seeds[-2])
     max_residual = 0.0
     n_datasets = 100
     for t in range(n_datasets):
@@ -522,7 +485,7 @@ def run_theory_suite(
         "passed": bool(max_residual <= 1e-9),
     }
 
-    th_seed = int(seeds[k + 1].generate_state(1, dtype=np.uint64)[0])
+    th_seed = seeds[-1]
     ds = separable_two_cluster_dataset(n_per=30, dim=dim, separation=4.0, seed=th_seed)
     report.theorem = theorem_experiment(ds, model, n_trials, th_seed + 1)
     return report

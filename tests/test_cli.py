@@ -6,6 +6,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spc.cli import (
     EXIT_CLAIM,
@@ -18,7 +20,6 @@ from spc.cli import (
     main,
     read_config,
     BLOBS_DEFAULTS,
-    THEORY_DEFAULTS,
 )
 from spc.data import write_idx_images, write_idx_labels
 from spc.errors import ConfigError, DataError
@@ -77,6 +78,36 @@ def test_read_config_unknown_section(tmp_path):
     path = write(tmp_path / "c.ini", "[typo]\nx = 1\n")
     with pytest.raises(ConfigError):
         read_config(path)
+
+
+def test_read_config_takes_percent_literally(tmp_path):
+    path = write(tmp_path / "c.ini", "[theory]\nsamplers = a%b, %(x)s\n")
+    assert read_config(path) == {"theory": {"samplers": "a%b, %(x)s"}}
+
+
+CONFIG_LINES = st.one_of(
+    st.sampled_from(
+        ["[spc]", "[theory]", "[DEFAULT]", "[typo]", "[spc", "a = %(b)s", "seed = 5%", "  x", "=", "[]"]
+    ),
+    st.text(max_size=30),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.one_of(
+        st.binary(max_size=200),
+        st.lists(CONFIG_LINES, max_size=8).map(lambda lines: "\n".join(lines).encode()),
+    )
+)
+def test_read_config_on_arbitrary_bytes_raises_only_config_error(tmp_path_factory, blob):
+    path = tmp_path_factory.mktemp("ini") / "c.ini"
+    path.write_bytes(blob)
+    try:
+        sections = read_config(str(path))
+    except ConfigError:
+        return
+    assert set(sections) <= {"spc", "blobs", "idx", "theory"}
 
 
 def test_coerce_section_unknown_key():
@@ -163,6 +194,19 @@ def test_read_label_csv_rejects_empty(tmp_path):
 def test_read_label_csv_rejects_garbage(tmp_path):
     path = write(tmp_path / "a.csv", "0\nbanana\n")
     with pytest.raises(DataError):
+        _read_label_csv(path)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [(0, 1), (1, 2), (1, 3), (3, 0)],  # duplicate index, 2 missing
+        [(1, 1), (2, 2), (3, 3), (4, 0)],  # 1-based
+    ],
+)
+def test_read_label_csv_rejects_misaligned_indices(tmp_path, rows):
+    path = write(tmp_path / "a.csv", "".join(f"{i},{label}\n" for i, label in rows))
+    with pytest.raises(DataError, match="0..3"):
         _read_label_csv(path)
 
 
@@ -253,6 +297,28 @@ def test_run_negative_seed_exits_cleanly(tmp_path, capsys, extra_ini, flags, cod
     assert no_stage_leftovers(tmp_path)
 
 
+def one_line_error(capsys, prefix):
+    err = capsys.readouterr().err.splitlines()
+    return len(err) == 1 and err[0].startswith(prefix)
+
+
+def test_run_percent_in_config_value_exits_1(tmp_path, capsys):
+    cfg = write(tmp_path / "c.ini", "[spc]\nmaster_seed = 5%\n")
+    out = run_dir(tmp_path)
+    assert main(["run", "--config", cfg, "--out", out]) == EXIT_CONFIG
+    assert one_line_error(capsys, "config error: bad value for master_seed")
+    assert not os.path.exists(out)
+
+
+def test_run_non_utf8_config_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "c.ini"
+    cfg.write_bytes(b"[spc]\nn_members = \xff\n")
+    out = run_dir(tmp_path)
+    assert main(["run", "--config", str(cfg), "--out", out]) == EXIT_CONFIG
+    assert one_line_error(capsys, "config error: cannot parse config")
+    assert not os.path.exists(out)
+
+
 def test_run_existing_out_dir_exits_1(tmp_path):
     cfg = write(tmp_path / "c.ini", SMALL_INI)
     out = tmp_path / "occupied"
@@ -306,6 +372,19 @@ def test_run_idx_dataset_roundtrip(tmp_path):
 
 def test_run_idx_requires_images_flag(tmp_path):
     assert main(["run", "--dataset", "idx", "--out", run_dir(tmp_path)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("flag", ["--images", "--labels"])
+def test_run_idx_missing_file_exits_2(tmp_path, capsys, flag):
+    images = np.zeros((8, 2, 2), dtype=np.uint8)
+    write_idx_images(tmp_path / "im.idx", images)
+    paths = {"--images": str(tmp_path / "im.idx"), "--labels": None}
+    paths[flag] = str(tmp_path / "nonexistent.idx")
+    argv = ["run", "--dataset", "idx", "--out", run_dir(tmp_path)]
+    argv += [part for k, v in paths.items() if v for part in (k, v)]
+    assert main(argv) == EXIT_DATA
+    assert one_line_error(capsys, "data error: cannot read")
+    assert not os.path.exists(run_dir(tmp_path))
 
 
 def test_run_idx_unlabeled_needs_cluster_count(tmp_path):
@@ -418,6 +497,22 @@ def test_eval_length_mismatch_exits_2(tmp_path):
     assert main(["eval", a, b]) == EXIT_DATA
 
 
+def test_eval_non_utf8_label_file_exits_2(tmp_path, capsys):
+    a = write_labels_csv(tmp_path / "a.csv", [0, 1])
+    b = tmp_path / "b.csv"
+    b.write_bytes(b"index,label\n0,0\n1,\xe91\n")
+    assert main(["eval", a, str(b)]) == EXIT_DATA
+    assert one_line_error(capsys, "data error: cannot read label file")
+
+
+def test_eval_misaligned_indices_exits_2(tmp_path, capsys):
+    a = write(tmp_path / "a.csv", "0,1\n0,2\n5,3\n7,0\n")
+    b = write_labels_csv(tmp_path / "b.csv", [1, 2, 3, 0])
+    assert main(["eval", a, b]) == EXIT_DATA
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"data error: indices in {a} are not 0..3, each once\n"
+
+
 def test_eval_missing_file_exits_2(tmp_path):
     a = write_labels_csv(tmp_path / "a.csv", [0, 1])
     assert main(["eval", a, str(tmp_path / "missing.csv")]) == EXIT_DATA
@@ -494,6 +589,15 @@ def test_verify_theory_negative_seed_exits_1(tmp_path, capsys, ini, flags):
     assert no_stage_leftovers(tmp_path)
 
 
+@pytest.mark.parametrize("dim", ["0", "-1"])
+def test_verify_theory_dim_below_one_exits_1(tmp_path, capsys, dim):
+    cfg = write(tmp_path / "t.ini", f"[theory]\ndim = {dim}\n")
+    out = run_dir(tmp_path)
+    assert main(["verify-theory", "--config", cfg, "--out", out]) == EXIT_CONFIG
+    assert one_line_error(capsys, "config error: dim must be >= 1")
+    assert not os.path.exists(out)
+
+
 def test_verify_theory_existing_out_exits_1(tmp_path):
     out = tmp_path / "busy"
     out.mkdir()
@@ -510,14 +614,3 @@ def test_unknown_subcommand_exits_1():
 
 def test_no_subcommand_exits_1():
     assert main([]) == EXIT_CONFIG
-
-
-def test_theory_defaults_match_suite_defaults():
-    # the documented CLI defaults must mirror the suite's own signature
-    import inspect
-
-    from spc.theory import run_theory_suite
-
-    sig = inspect.signature(run_theory_suite)
-    for key in ("dim", "eta", "w_prime", "n_samples", "n_trials", "seed"):
-        assert THEORY_DEFAULTS[key] == sig.parameters[key].default

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spc.data import (
     BlobSpec,
@@ -14,7 +16,7 @@ from spc.data import (
     write_idx_images,
     write_idx_labels,
 )
-from spc.errors import DataError
+from spc.errors import ConfigError, DataError
 
 
 def test_dataset_validation():
@@ -68,6 +70,51 @@ def test_idx_truncated(tmp_path):
     q.write_bytes(IMAGE_BYTES[:10])
     with pytest.raises(DataError):
         read_idx_images(q)
+
+
+def test_idx_missing_file_is_data_error(tmp_path):
+    for reader in (read_idx_images, read_idx_labels):
+        with pytest.raises(DataError, match="cannot read"):
+            reader(tmp_path / "nonexistent.idx")
+        with pytest.raises(DataError, match="cannot read"):
+            reader(tmp_path)  # a directory
+
+
+# garbage, plus well-formed headers over payloads that may or may not fit
+IDX_BYTES = st.one_of(
+    st.binary(max_size=64),
+    st.builds(
+        lambda n, r, c, payload: struct.pack(">IIII", 0x00000803, n, r, c) + payload,
+        st.integers(0, 4),
+        st.integers(0, 4),
+        st.integers(0, 4),
+        st.binary(max_size=80),
+    ),
+    st.builds(
+        lambda n, payload: struct.pack(">II", 0x00000801, n) + payload,
+        st.integers(0, 40),
+        st.binary(max_size=50),
+    ),
+    st.builds(
+        lambda magic, header, payload: struct.pack(">I", magic) + header + payload,
+        st.sampled_from([0x00000801, 0x00000803]),
+        st.binary(min_size=12, max_size=12),
+        st.binary(max_size=8),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(IDX_BYTES)
+def test_idx_readers_on_arbitrary_bytes_raise_only_data_errors(tmp_path_factory, blob):
+    path = tmp_path_factory.mktemp("idx") / "f.idx"
+    path.write_bytes(blob)
+    for reader in (read_idx_images, read_idx_labels):
+        try:
+            out = reader(path)
+        except (DataError, ConfigError):
+            continue
+        assert out.dtype == np.uint8
 
 
 def test_idx_roundtrip(tmp_path):

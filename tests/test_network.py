@@ -118,17 +118,6 @@ def test_encode_noise_seeded():
     assert not np.array_equal(a, c)
 
 
-def test_single_layer_identity_mlp_is_affine():
-    rng = np.random.default_rng(3)
-    mlp = Mlp([3, 2], "identity", rng)
-    W = rng.standard_normal((2, 3))
-    b = rng.standard_normal(2)
-    mlp.weights[0] = W
-    mlp.biases[0] = b
-    x = rng.standard_normal((5, 3))
-    assert np.allclose(mlp.forward(x), x @ W.T + b, atol=1e-14)
-
-
 def test_leaky_relu_layer_oracle():
     rng = np.random.default_rng(4)
     mlp = Mlp([3, 2], "leaky_relu", rng)
@@ -174,7 +163,6 @@ def test_softmax_uniform_and_shift_invariance():
     out = mlp.forward(np.zeros((3, 2)))
     assert np.allclose(out, 0.25, atol=1e-14)
     # shifting logits by a per-row constant leaves probabilities unchanged
-    mlp2 = Mlp([4, 4], "identity", rng)
     from spc.network import _apply_activation
 
     z = rng.standard_normal((6, 4))

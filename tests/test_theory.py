@@ -18,8 +18,6 @@ from spc.theory import (
     default_samplers,
     entropy_curve,
     gauss_pair,
-    gd_update_diff,
-    gd_update_same,
     lemma1_experiment,
     lemma2_experiment,
     lemma3_check,
@@ -111,45 +109,6 @@ def test_entropy_grid_validation():
         entropy_curve(2, np.array([0.9, 0.6]))  # not sorted
     with pytest.raises(ConfigError):
         entropy_curve(2, np.array([]))
-
-
-# ---- gradient updates -----------------------------------------------------
-
-
-def test_gd_update_same_scalar():
-    m = LinearModel(w=np.array([1.0]), w_prime=2.0, eta=0.1)
-    out = gd_update_same(m, np.array([1.0]), np.array([3.0]))
-    assert out.w[0] == pytest.approx(0.2, abs=1e-15)
-    assert out.w_prime == m.w_prime and out.eta == m.eta
-
-
-def test_gd_update_diff_scalar():
-    m = LinearModel(w=np.array([1.0]), w_prime=2.0, eta=0.1)
-    out = gd_update_diff(m, np.array([3.0]), np.array([1.0]))
-    assert out.w[0] == pytest.approx(0.6, abs=1e-15)
-
-
-def test_gd_update_cancellations():
-    m = LinearModel(w=np.array([0.5, -0.2]), w_prime=1.5, eta=0.3)
-    x = np.array([1.0, 2.0])
-    # x' = -x cancels the same-labels step, x' = x cancels the diff step
-    assert np.array_equal(gd_update_same(m, x, -x).w, m.w)
-    assert np.array_equal(gd_update_diff(m, x, x).w, m.w)
-
-
-def test_gd_update_eta_zero_is_identity():
-    m = LinearModel(w=np.array([0.5, -0.2]), w_prime=1.5, eta=0.0)
-    x, xp = np.array([1.0, 2.0]), np.array([-3.0, 0.5])
-    assert np.array_equal(gd_update_same(m, x, xp).w, m.w)
-    assert np.array_equal(gd_update_diff(m, x, xp).w, m.w)
-
-
-def test_gd_update_dimension_mismatch():
-    m = LinearModel(w=np.ones(2), w_prime=1.0, eta=0.1)
-    with pytest.raises(DataError):
-        gd_update_same(m, np.ones(3), np.ones(3))
-    with pytest.raises(DataError):
-        gd_update_diff(m, np.ones(2), np.ones(3))
 
 
 # ---- first update comparison (u statistics) -------------------------------
