@@ -39,7 +39,7 @@ from .consensus import cluster_size_report, evaluate
 from .data import BlobSpec, load_idx, make_blobs, normalize
 from .errors import ConfigError, DataError, NumericError, SpcError
 from .network import save_member
-from .pipeline import SpcConfig, spc_train, _member_streams
+from .pipeline import SpcConfig, spc_train
 from .theory import constant_point, default_samplers, entropy_grid, run_theory_suite
 
 EXIT_OK = 0
@@ -285,9 +285,7 @@ def cmd_run(args) -> int:
             "dataset": descriptor,
             "seeds": {
                 "master_seed": config.master_seed,
-                "member_init_seeds": [
-                    _member_streams(config, j)[0] for j in range(config.n_members)
-                ],
+                "member_init_seeds": [member.member_seed for member in members],
             },
             "artifacts": {
                 "history": "history.csv",
@@ -356,18 +354,22 @@ def cmd_eval(args) -> int:
         raise DataError(
             f"label counts differ: {predicted.shape[0]} predicted vs {truth.shape[0]} truth"
         )
-    n_clusters = int(max(predicted.max(), truth.max())) + 1
+    # the scores are blind to id values, so each id is scored by its rank among
+    # the ids of either file: the tables are sized by the distinct ids, not by
+    # the largest one
+    ids = np.union1d(predicted, truth)
     scores = evaluate(
-        Labelling(labels=predicted, n_clusters=n_clusters),
-        Labelling(labels=truth, n_clusters=n_clusters),
+        Labelling(labels=np.searchsorted(ids, predicted), n_clusters=ids.size),
+        Labelling(labels=np.searchsorted(ids, truth), n_clusters=ids.size),
     )
+    cluster_sizes = {int(ids[rank]): size for rank, size in scores.cluster_sizes.items()}
     print(
         json_text(
             {
                 "accuracy": scores.accuracy,
                 "nmi": scores.nmi,
                 "rand_index": scores.rand_index,
-                "cluster_sizes": scores.cluster_sizes,
+                "cluster_sizes": cluster_sizes,
                 "n_points": int(truth.shape[0]),
             }
         ),

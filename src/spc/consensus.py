@@ -123,21 +123,18 @@ def _matching(labels: np.ndarray, reference: np.ndarray, n_clusters: int) -> np.
 
 @dataclass(frozen=True)
 class ConsensusResult:
-    """Aligned ensemble labels with per-point unanimity flags."""
+    """Consensus labels of the ensemble with per-point unanimity flags."""
 
     consensus_labels: np.ndarray
     agreement: np.ndarray
-    aligned_labellings: np.ndarray
-    n_agreed: int
 
     def __post_init__(self):
-        if self.aligned_labellings.ndim != 2:
-            raise DataError("aligned_labellings must be K x N")
-        K, N = self.aligned_labellings.shape
-        if self.consensus_labels.shape != (N,) or self.agreement.shape != (N,):
-            raise DataError("consensus fields must have length N")
-        if self.n_agreed != int(self.agreement.sum()):
-            raise DataError("n_agreed must equal the number of set agreement flags")
+        if self.consensus_labels.ndim != 1 or self.agreement.shape != self.consensus_labels.shape:
+            raise DataError("consensus labels and agreement flags must be vectors of length N")
+
+    @property
+    def n_agreed(self) -> int:
+        return int(self.agreement.sum())
 
 
 def align(reference: Labelling, other: Labelling) -> Labelling:
@@ -167,12 +164,7 @@ def consensus(labellings: list, n_clusters: int) -> ConsensusResult:
     agreement = (matrix == matrix[0]).all(axis=0)
     counts = np.bincount((matrix * N + np.arange(N)).ravel(), minlength=n_clusters * N)
     modes = counts.reshape(n_clusters, N).argmax(axis=0)  # argmax takes the lowest id on ties
-    return ConsensusResult(
-        consensus_labels=modes.astype(np.int64),
-        agreement=agreement,
-        aligned_labellings=matrix,
-        n_agreed=int(agreement.sum()),
-    )
+    return ConsensusResult(consensus_labels=modes.astype(np.int64), agreement=agreement)
 
 
 def accuracy(predicted: Labelling, truth: Labelling) -> float:

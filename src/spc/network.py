@@ -175,15 +175,15 @@ class AutoencoderMember:
 
     # ---- forward ops ----
 
-    def encode(self, batch: np.ndarray, train_mode: bool = False, noise_seed: int = 0) -> np.ndarray:
-        """Latent codes for a batch; train mode adds N(0, sigma^2 I) noise."""
+    def _check_batch(self, batch) -> np.ndarray:
         batch = np.asarray(batch, dtype=np.float64)
         if batch.ndim != 2 or batch.shape[1] != self.input_dim:
             raise DataError(f"batch must be (B, {self.input_dim}), got {batch.shape}")
-        latent = self.encoder.forward(batch)
-        if train_mode and self.noise_stddev > 0:
-            noise_rng = np.random.default_rng(noise_seed)
-            latent = latent + self.noise_stddev * noise_rng.standard_normal(latent.shape)
+        return batch
+
+    def encode(self, batch: np.ndarray) -> np.ndarray:
+        """Latent codes for a batch, without noise."""
+        latent = self.encoder.forward(self._check_batch(batch))
         if not np.isfinite(latent).all():
             raise NumericError("non-finite encoder activations")
         return latent
@@ -208,8 +208,10 @@ class AutoencoderMember:
     ):
         """The loss of the decoder and classifier heads on given latent codes.
 
-        Returns (loss, rec, probs).  The classifier only runs when some point
-        is agreed; otherwise probs is None.
+        Returns (loss, diff, p_t): diff = rec - batch on the rows that are not
+        agreed and p_t the probability of the consensus label on the agreed
+        rows, each None when it has no row.  The classifier only runs when
+        some point is agreed.
         """
         rec = self.decoder.forward(latent, cache=dec_cache)
         probs = self.classifier.forward(latent, cache=cls_cache) if agreed.any() else None
@@ -218,13 +220,14 @@ class AutoencoderMember:
 
         B, n = batch.shape[0], self.input_dim
         per_point = np.zeros(B)
+        diff = p_t = None
         if probs is not None:
             p_t = probs[agreed, labels[agreed]]
             per_point[agreed] = -np.log(np.maximum(p_t, CE_CLAMP))
         if (~agreed).any():
             diff = rec[~agreed] - batch[~agreed]
             per_point[~agreed] = recon_weight * np.abs(diff).sum(axis=1) / n
-        return float(per_point.sum() / B), rec, probs
+        return float(per_point.sum() / B), diff, p_t
 
     def latent_loss(
         self,
@@ -238,14 +241,12 @@ class AutoencoderMember:
 
         With latent = encode(batch) this equals forward_loss(batch, ...) bitwise.
         """
-        batch = np.asarray(batch, dtype=np.float64)
+        batch = self._check_batch(batch)
         latent = np.asarray(latent, dtype=np.float64)
-        if batch.ndim != 2 or batch.shape[1] != self.input_dim:
-            raise DataError(f"batch must be (B, {self.input_dim}), got {batch.shape}")
         B = batch.shape[0]
         if latent.shape != (B, self.latent_dim):
             raise DataError(f"latent must be ({B}, {self.latent_dim}), got {latent.shape}")
-        labels, agreed = self._targets(consensus_labels, agreement_flags, batch.shape[0])
+        labels, agreed = self._targets(consensus_labels, agreement_flags, B)
         return self._head_loss(latent, batch, labels, agreed, recon_weight)[0]
 
     def forward_loss(
@@ -261,7 +262,7 @@ class AutoencoderMember:
 
         Returns (1/B) * [ sum_{a_i=1} CE_i + w * sum_{a_i=0} (1/n) |rec_i - x_i|_1 ].
         """
-        batch = np.asarray(batch, dtype=np.float64)
+        batch = self._check_batch(batch)
         labels, agreed = self._targets(consensus_labels, agreement_flags, batch.shape[0])
 
         enc_cache: list = []
@@ -271,20 +272,19 @@ class AutoencoderMember:
             latent = latent + self.noise_stddev * noise_rng.standard_normal(latent.shape)
         dec_cache: list = []
         cls_cache: list = []
-        loss, rec, probs = self._head_loss(
+        loss, diff, p_t = self._head_loss(
             latent, batch, labels, agreed, recon_weight, dec_cache, cls_cache
         )
 
         self._cache = {
-            "batch": batch,
             "labels": labels,
             "agreed": agreed,
             "recon_weight": float(recon_weight),
             "enc_cache": enc_cache,
             "dec_cache": dec_cache,
             "cls_cache": cls_cache,
-            "rec": rec,
-            "probs": probs,
+            "diff": diff,
+            "p_t": p_t,
         }
         return loss
 
@@ -299,28 +299,25 @@ class AutoencoderMember:
         if self._cache is None:
             raise SpcError("backward requires a cached forward pass; call forward_loss first")
         c = self._cache
-        batch, labels, agreed = c["batch"], c["labels"], c["agreed"]
-        B, n = batch.shape
+        labels, agreed, diff, p_t = c["labels"], c["agreed"], c["diff"], c["p_t"]
+        B, n = agreed.shape[0], self.input_dim
         w = c["recon_weight"]
 
         # decoder branch: dL/drec = w/(B n) sign(diff), nonzero only on non-agreed rows
-        grad_rec = np.zeros_like(c["rec"])
-        if (~agreed).any():
-            diff = c["rec"][~agreed] - batch[~agreed]
+        grad_rec = np.zeros((B, n))
+        if diff is not None:
             grad_rec[~agreed] = (w / (B * n)) * np.sign(diff)
         dec_grads, grad_latent = self.decoder.backward(
             c["dec_cache"], grad_rec, param_grads=train_decoder
         )
 
         # classifier branch: dL/dprobs, nonzero only on agreed rows
-        probs = c["probs"]
         cls_grads = None
-        if probs is not None:
-            grad_probs = np.zeros_like(probs)
-            p_t = probs[agreed, labels[agreed]]
+        if p_t is not None:
+            grad_probs = np.zeros((B, self.n_clusters))
             live = p_t > CE_CLAMP  # clamped rows have locally constant loss
             rows = np.flatnonzero(agreed)[live]
-            grad_probs[rows, labels[rows]] = -1.0 / (B * probs[rows, labels[rows]])
+            grad_probs[rows, labels[rows]] = -1.0 / (B * p_t[live])
             cls_grads, grad_latent_cls = self.classifier.backward(c["cls_cache"], grad_probs)
             grad_latent = grad_latent_cls + grad_latent
 

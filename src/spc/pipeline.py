@@ -259,15 +259,14 @@ def train_epoch(
     config: SpcConfig,
     learning_rate: float,
     freeze_decoder: bool,
-) -> float:
-    """One shuffled pass of mini-batch SGD; returns the mean per-point loss."""
+) -> None:
+    """One shuffled pass of mini-batch SGD over the points, in place."""
     n = points.shape[0]
     order = rng.permutation(n)
-    total = 0.0
     for start in range(0, n, config.batch_size):
         idx = order[start : start + config.batch_size]
         noise_seed = int(rng.integers(2**63))
-        loss = member.forward_loss(
+        member.forward_loss(
             points[idx],
             labels[idx],
             flags[idx],
@@ -276,8 +275,6 @@ def train_epoch(
             recon_weight=config.recon_weight,
         )
         member.sgd_step(member.backward(learning_rate, train_decoder=not freeze_decoder))
-        total += loss * idx.shape[0]
-    return total / n
 
 
 def pretrain(
@@ -342,12 +339,7 @@ def _rename_to_previous(result: ConsensusResult, previous: np.ndarray, n_cluster
     changes neither the partition nor the agreement flags.
     """
     perm = _matching(result.consensus_labels, previous, n_clusters)
-    return ConsensusResult(
-        consensus_labels=perm[result.consensus_labels],
-        agreement=result.agreement,
-        aligned_labellings=perm[result.aligned_labellings],
-        n_agreed=result.n_agreed,
-    )
+    return ConsensusResult(consensus_labels=perm[result.consensus_labels], agreement=result.agreement)
 
 
 def combined_loss(
@@ -390,22 +382,21 @@ def spc_train(
     Returns (final labelling, per-iteration history, trained members).  Each
     iteration encodes without noise, clusters each member's latents, records
     the consensus before any training, and then trains every member for
-    loop_epochs on the selective objective with the decoder frozen.  A member
-    whose clusterer fails is dropped from that iteration's vote; the run only
-    fails when every member does.
+    loop_epochs on the selective objective with the decoder frozen.  The
+    voters are the K members and, with concat_member, voter K, which clusters
+    the members' latents side by side.  A voter whose clusterer fails is
+    dropped from that iteration's vote; the run only fails when every voter
+    does.
     """
     _check_normalized(dataset.points)
     C = dataset.n_clusters
+    K = config.n_members
     points = dataset.points
     members = build_members(dataset, config)
-    streams = [_member_streams(config, j) for j in range(config.n_members)]
-    train_rngs = [s[1] for s in streams]
-    cluster_rngs = [s[2] for s in streams]
-    # the optional concatenated virtual member gets the next spawn key so its
-    # stream never collides with a real member's
-    concat_rng = np.random.default_rng(
-        np.random.SeedSequence(config.master_seed, spawn_key=(config.n_members,)).spawn(3)[2]
-    )
+    train_rngs = [_member_streams(config, j)[1] for j in range(K)]
+    # voter K takes the next stream index, so its stream never collides with
+    # a real member's
+    cluster_rngs = [_member_streams(config, j)[2] for j in range(K + config.concat_member)]
 
     pretrain(members, dataset, config, rngs=train_rngs, workers=workers)
 
@@ -414,35 +405,29 @@ def spc_train(
     best_agreed = -1
     stall = 0
     for iteration in range(config.max_iterations):
-        # seeds are drawn in member order before the fan-out so that results
+        # seeds are drawn in voter order before the fan-out so that results
         # cannot depend on thread scheduling
         seeds = [int(rng.integers(2**63)) for rng in cluster_rngs]
 
-        def member_task(j):
-            latents = members[j].encode(points, train_mode=False)
+        def vote(j, latents):
+            """Voter j's labelling, or None when its clusterer fails."""
             try:
-                return latents, _cluster(latents, C, seeds[j], config.clusterer)
+                return _cluster(latents, C, seeds[j], config.clusterer)
             except NumericError as exc:
-                logger.warning(
-                    "member %d clustering failed at iteration %d: %s", j, iteration, exc
-                )
-                return latents, None
+                voter = f"member {j}" if j < K else "concatenated member"
+                logger.warning("%s clustering failed at iteration %d: %s", voter, iteration, exc)
+                return None
 
-        outcomes = _fan_out(
-            [lambda j=j: member_task(j) for j in range(config.n_members)], workers
-        )
-        labellings = [lab for _, lab in outcomes if lab is not None]
+        def member_task(j):
+            latents = members[j].encode(points)
+            return latents, vote(j, latents)
+
+        outcomes = _fan_out([lambda j=j: member_task(j) for j in range(K)], workers)
+        latents = [lat for lat, _ in outcomes]
+        labellings = [lab for _, lab in outcomes]
         if config.concat_member:
-            concat_seed = int(concat_rng.integers(2**63))
-            stacked = np.concatenate([lat for lat, _ in outcomes], axis=1)
-            try:
-                labellings.append(_cluster(stacked, C, concat_seed, config.clusterer))
-            except NumericError as exc:
-                logger.warning(
-                    "concatenated member clustering failed at iteration %d: %s",
-                    iteration,
-                    exc,
-                )
+            labellings.append(vote(K, np.concatenate(latents, axis=1)))
+        labellings = [lab for lab in labellings if lab is not None]
         if not labellings:
             raise NumericError(
                 f"clustering failed for every ensemble member at iteration {iteration}"
@@ -455,7 +440,7 @@ def spc_train(
         flags = result.agreement.astype(np.int64)
         mean_loss = combined_loss(
             members,
-            [lat for lat, _ in outcomes],
+            latents,
             points,
             result.consensus_labels,
             flags,
@@ -501,7 +486,7 @@ def spc_train(
                     freeze_decoder=True,
                 )
 
-        _fan_out([lambda j=j: train_task(j) for j in range(config.n_members)], workers)
+        _fan_out([lambda j=j: train_task(j) for j in range(K)], workers)
 
     final = Labelling(labels=result.consensus_labels.copy(), n_clusters=C)
     return final, history, members

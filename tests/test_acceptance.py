@@ -319,7 +319,7 @@ def test_criterion_10_mnist_smoke():
     )
     member = build_members(subset, base_cfg)[0]
     pretrain([member], subset, base_cfg)
-    latents = member.encode(subset.points, train_mode=False)
+    latents = member.encode(subset.points)
     base_labels = gmm_predict(gmm_fit(latents, subset.n_clusters, seed=0), latents)
     base_acc = accuracy(base_labels, truth)
     elapsed = time.perf_counter() - t_start

@@ -3,6 +3,8 @@ import itertools
 import json
 import math
 import os
+import re
+import time
 
 import numpy as np
 import pytest
@@ -13,7 +15,10 @@ from spc.cli import (
     EXIT_CLAIM,
     EXIT_CONFIG,
     EXIT_DATA,
+    EXIT_NUMERIC,
     EXIT_OK,
+    IDX_DEFAULTS,
+    THEORY_DEFAULTS,
     _read_label_csv,
     coerce_section,
     json_text,
@@ -21,8 +26,10 @@ from spc.cli import (
     read_config,
     BLOBS_DEFAULTS,
 )
-from spc.data import write_idx_images, write_idx_labels
-from spc.errors import ConfigError, DataError
+import spc.pipeline as pipeline
+from spc.data import BlobSpec, write_idx_images, write_idx_labels
+from spc.errors import ConfigError, DataError, NumericError
+from spc.pipeline import SpcConfig
 
 
 SMALL_INI = """
@@ -153,6 +160,22 @@ def test_coerce_section_bad_bool():
 
     with pytest.raises(ConfigError):
         coerce_section("spc", {"concat_member": "maybe"}, _spc_defaults())
+
+
+def test_readme_config_block_parses_to_the_defaults(tmp_path):
+    from spc.cli import _spc_defaults
+
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme, encoding="utf-8") as f:
+        (block,) = re.findall(r"```ini\n(.*?)```", f.read(), flags=re.S)
+    sections = read_config(write(tmp_path / "readme.ini", block))
+    spc = coerce_section("spc", sections["spc"], _spc_defaults())
+    blobs = coerce_section("blobs", sections["blobs"], BLOBS_DEFAULTS)
+    assert set(sections["spc"]) == set(_spc_defaults()) and SpcConfig(**spc) == SpcConfig()
+    assert set(sections["blobs"]) == set(BLOBS_DEFAULTS) and BlobSpec(**blobs) == BlobSpec()
+    for name, defaults in (("idx", IDX_DEFAULTS), ("theory", THEORY_DEFAULTS)):
+        assert set(sections[name]) == set(defaults)
+        assert coerce_section(name, sections[name], defaults) == defaults
 
 
 def test_json_text_formatting():
@@ -317,6 +340,21 @@ def test_run_non_utf8_config_exits_1(tmp_path, capsys):
     assert main(["run", "--config", str(cfg), "--out", out]) == EXIT_CONFIG
     assert one_line_error(capsys, "config error: cannot parse config")
     assert not os.path.exists(out)
+
+
+def test_run_exits_3_when_every_voter_fails(tmp_path, capsys, monkeypatch):
+    def failing(latents, n_clusters, seed, kind):
+        raise NumericError("injected clustering failure")
+
+    monkeypatch.setattr(pipeline, "_cluster", failing)
+    cfg = write(tmp_path / "c.ini", SMALL_INI.replace("[spc]\n", "[spc]\nconcat_member = true\n"))
+    out = run_dir(tmp_path)
+    assert main(["run", "--config", cfg, "--out", out]) == EXIT_NUMERIC
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        "numeric error: clustering failed for every ensemble member"
+    )
+    assert not os.path.exists(out)
+    assert no_stage_leftovers(tmp_path)
 
 
 def test_run_existing_out_dir_exits_1(tmp_path):
@@ -489,6 +527,27 @@ def test_eval_matches_longhand_metrics_on_12_points(tmp_path, capsys):
     assert out["nmi"] == pytest.approx(scalar_nmi(pred, truth), rel=1e-8)
     assert out["rand_index"] == pytest.approx(scalar_rand(pred, truth), abs=1e-9)
     assert out["cluster_sizes"] == {"0": 4, "1": 5, "2": 3}
+
+
+def test_eval_large_ids_score_like_their_compacted_copy(tmp_path, capsys):
+    # the union of the ids, sorted, is 0 1 3 7 90000 200000: ranks 0..5
+    pred = [0, 200000, 200000, 7, 7, 0]
+    truth = [3, 1, 1, 1, 90000, 3]
+    compact_pred = [0, 5, 5, 3, 3, 0]
+    compact_truth = [2, 1, 1, 1, 4, 2]
+    scores = []
+    for name, p, t in (("gaps", pred, truth), ("compact", compact_pred, compact_truth)):
+        a = write_labels_csv(tmp_path / f"{name}-p.csv", p)
+        b = write_labels_csv(tmp_path / f"{name}-t.csv", t)
+        start = time.perf_counter()
+        assert main(["eval", a, b]) == EXIT_OK
+        assert time.perf_counter() - start < 2.0
+        scores.append(json.loads(capsys.readouterr().out))
+    gaps, compact = scores
+    for key in ("accuracy", "nmi", "rand_index", "n_points"):
+        assert gaps[key] == compact[key]
+    assert gaps["cluster_sizes"] == {"0": 2, "1": 0, "3": 0, "7": 2, "90000": 0, "200000": 2}
+    assert compact["cluster_sizes"] == {"0": 2, "1": 0, "2": 0, "3": 2, "4": 0, "5": 2}
 
 
 def test_eval_length_mismatch_exits_2(tmp_path):

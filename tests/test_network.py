@@ -91,13 +91,22 @@ def test_default_encoder_widths():
 # ---- encode / decode / classify ----
 
 
-def test_encode_zero_noise_modes_agree():
+def loss_and_grad_bits(member, batch, labels, flags, **kw):
+    """(loss, bytes of every gradient) of one forward_loss and backward."""
+    loss = member.forward_loss(batch, labels, flags, **kw)
+    upd = member.backward()
+    stacks = (upd.encoder_grads, upd.decoder_grads, upd.classifier_grads)
+    return loss, [a.tobytes() for grads in stacks for dw_db in grads for a in dw_db]
+
+
+def test_forward_loss_zero_noise_makes_train_mode_a_no_op():
     m = small_member(noise=0.0)
     rng = np.random.default_rng(0)
     batch = rand_batch(rng)
-    a = m.encode(batch, train_mode=True, noise_seed=5)
-    b = m.encode(batch, train_mode=False)
-    assert np.array_equal(a, b)
+    labels, flags = np.array([0, 2, 1, 1]), np.array([1, 0, 1, 0])
+    a = loss_and_grad_bits(m, batch, labels, flags, train_mode=True, noise_seed=5)
+    b = loss_and_grad_bits(m, batch, labels, flags, train_mode=False)
+    assert a == b
 
 
 def test_encode_eval_mode_pure():
@@ -107,15 +116,23 @@ def test_encode_eval_mode_pure():
     assert np.array_equal(m.encode(batch), m.encode(batch))
 
 
-def test_encode_noise_seeded():
+def test_forward_loss_noise_seeded():
     m = small_member(noise=0.5)
     rng = np.random.default_rng(2)
     batch = rand_batch(rng)
-    a = m.encode(batch, train_mode=True, noise_seed=7)
-    b = m.encode(batch, train_mode=True, noise_seed=7)
-    c = m.encode(batch, train_mode=True, noise_seed=8)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
+    labels, flags = np.array([0, 2, 1, 1]), np.array([1, 0, 1, 0])
+    a = loss_and_grad_bits(m, batch, labels, flags, train_mode=True, noise_seed=7)
+    b = loss_and_grad_bits(m, batch, labels, flags, train_mode=True, noise_seed=7)
+    c = loss_and_grad_bits(m, batch, labels, flags, train_mode=True, noise_seed=8)
+    assert a == b
+    assert a[0] != c[0] and a[1] != c[1]
+
+
+def test_forward_loss_rejects_a_batch_of_the_wrong_width():
+    m = small_member()
+    batch = rand_batch(np.random.default_rng(3), n=5)
+    with pytest.raises(DataError, match="batch must be"):
+        m.forward_loss(batch, np.zeros(4, dtype=int), np.zeros(4, dtype=int))
 
 
 def test_leaky_relu_layer_oracle():

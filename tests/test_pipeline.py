@@ -10,7 +10,7 @@ import spc.pipeline as pipeline
 from spc.clustering import Labelling
 from spc.consensus import ConsensusResult, accuracy, consensus
 from spc.data import BlobSpec, Dataset, make_blobs, normalize
-from spc.errors import ConfigError, DataError
+from spc.errors import ConfigError, DataError, NumericError
 from spc.pipeline import (
     IterationRecord,
     SpcConfig,
@@ -267,17 +267,6 @@ def test_train_epoch_disagreed_points_leave_classifier_fixed():
     assert any(not np.array_equal(a, b) for a, b in zip(enc_before, member.encoder.weights))
 
 
-def test_train_epoch_returns_mean_loss():
-    ds = small_blobs()
-    cfg = small_config()
-    member = build_members(ds, cfg)[0]
-    zeros = np.zeros(ds.n_points, dtype=np.int64)
-    loss = train_epoch(
-        member, ds.points, zeros, zeros, np.random.default_rng(0), cfg, 0.05, freeze_decoder=False
-    )
-    assert np.isfinite(loss) and loss > 0
-
-
 # ---- consensus bookkeeping ----
 
 
@@ -307,16 +296,12 @@ def test_rename_to_previous_matches_previous_ids():
     current = ConsensusResult(
         consensus_labels=np.array([1, 1, 0, 0, 2, 2]),
         agreement=np.array([True, False, True, True, True, False]),
-        aligned_labellings=np.array([[1, 1, 0, 0, 2, 2], [1, 0, 0, 0, 2, 1]]),
-        n_agreed=4,
     )
     previous = np.array([0, 0, 1, 1, 2, 2])
     renamed = _rename_to_previous(current, previous, 3)
     assert np.array_equal(renamed.consensus_labels, previous)
     assert np.array_equal(renamed.agreement, current.agreement)
     assert renamed.n_agreed == 4
-    assert np.array_equal(renamed.aligned_labellings[0], previous)
-    assert np.array_equal(renamed.aligned_labellings[1], np.array([0, 1, 1, 1, 2, 0]))
 
 
 def test_rename_to_previous_preserves_partition():
@@ -324,12 +309,7 @@ def test_rename_to_previous_preserves_partition():
     labels = rng.integers(0, 4, size=50)
     perm = np.array([2, 3, 1, 0])
     agreement = rng.random(50) < 0.5
-    current = ConsensusResult(
-        consensus_labels=perm[labels],
-        agreement=agreement,
-        aligned_labellings=perm[labels][None, :],
-        n_agreed=int(agreement.sum()),
-    )
+    current = ConsensusResult(consensus_labels=perm[labels], agreement=agreement)
     renamed = _rename_to_previous(current, labels, 4)
     assert np.array_equal(renamed.consensus_labels, labels)
 
@@ -353,9 +333,8 @@ def test_rename_to_previous_keeps_flags_and_relabels_by_a_permutation(case):
     assert renamed.n_agreed == result.n_agreed
     # one id map, a bijection, carries every old label to its new one
     ids = np.full(C, -1)
-    ids[result.aligned_labellings] = renamed.aligned_labellings
+    ids[result.consensus_labels] = renamed.consensus_labels
     assert sorted(ids[ids >= 0]) == sorted(set(ids[ids >= 0]))
-    assert np.array_equal(ids[result.aligned_labellings], renamed.aligned_labellings)
     assert np.array_equal(ids[result.consensus_labels], renamed.consensus_labels)
 
 
@@ -451,6 +430,66 @@ def test_spc_train_reproducible_across_worker_counts():
         assert a.n_agreed == b.n_agreed
         assert a.mean_loss == b.mean_loss
         assert a.overall_accuracy == b.overall_accuracy
+
+
+# ---- voters whose clusterer fails ----
+
+
+def failing_cluster(monkeypatch, fails):
+    """Make pipeline._cluster raise NumericError on the calls fails(latents, seed) picks."""
+    cluster = pipeline._cluster
+
+    def flaky(latents, n_clusters, seed, kind):
+        if fails(latents, seed):
+            raise NumericError("injected clustering failure")
+        return cluster(latents, n_clusters, seed, kind)
+
+    monkeypatch.setattr(pipeline, "_cluster", flaky)
+
+
+def counting_consensus(monkeypatch):
+    """The number of labellings each consensus call receives, in call order."""
+    counts = []
+    vote = pipeline.consensus
+
+    def counted(labellings, n_clusters):
+        counts.append(len(labellings))
+        return vote(labellings, n_clusters)
+
+    monkeypatch.setattr(pipeline, "consensus", counted)
+    return counts
+
+
+def test_spc_train_drops_a_member_whose_clusterer_fails(monkeypatch, caplog):
+    cfg = small_config(n_members=3, max_iterations=2, plateau_patience=5)
+    # member 1's first clustering seed is the first draw of its cluster stream
+    seed = int(_member_streams(cfg, 1)[2].integers(2**63))
+    failing_cluster(monkeypatch, lambda latents, s: s == seed)
+    counts = counting_consensus(monkeypatch)
+    with caplog.at_level("WARNING", logger="spc"):
+        _, history, _ = spc_train(small_blobs(), cfg)
+    assert len(history) == 2
+    assert counts == [2, 3]
+    assert "member 1 clustering failed at iteration 0" in caplog.text
+
+
+def test_spc_train_drops_a_failing_concatenated_member(monkeypatch, caplog):
+    cfg = small_config(n_members=2, max_iterations=2, plateau_patience=5, concat_member=True)
+    width = cfg.n_members * cfg.latent_dim
+    failing_cluster(monkeypatch, lambda latents, s: latents.shape[1] == width)
+    counts = counting_consensus(monkeypatch)
+    with caplog.at_level("WARNING", logger="spc"):
+        _, history, _ = spc_train(small_blobs(), cfg)
+    assert len(history) == 2
+    assert counts == [2, 2]
+    assert "concatenated member clustering failed at iteration 0" in caplog.text
+    assert "concatenated member clustering failed at iteration 1" in caplog.text
+
+
+def test_spc_train_fails_when_every_voter_fails(monkeypatch):
+    failing_cluster(monkeypatch, lambda latents, s: True)
+    with pytest.raises(NumericError, match="every ensemble member"):
+        spc_train(small_blobs(), small_config(concat_member=True))
 
 
 @pytest.fixture
