@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import dataclasses
 import inspect
@@ -130,15 +131,20 @@ def coerce_section(section: str, raw: dict, defaults: dict) -> dict:
 # ---- deterministic serialization ------------------------------------------
 
 
+def _fmt(value) -> str:
+    """The one number format: floats at 10 significant digits, None as empty."""
+    if value is None:
+        return ""
+    if isinstance(value, (float, np.floating)):
+        return f"{float(value):.10g}"
+    return str(value)
+
+
 def _round_floats(obj):
     """Clamp every float to 10 significant digits, recursively."""
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, float):
-        return float(f"{obj:.10g}")
-    if isinstance(obj, (np.floating,)):
-        return float(f"{float(obj):.10g}")
-    if isinstance(obj, (np.integer,)):
+    if isinstance(obj, (float, np.floating)):
+        return float(_fmt(obj))
+    if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, dict):
         return {str(k): _round_floats(v) for k, v in obj.items()}
@@ -151,24 +157,26 @@ def json_text(obj) -> str:
     return json.dumps(_round_floats(obj), sort_keys=True, indent=2) + "\n"
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.10g}"
-    return str(value)
-
-
 # ---- staged output directories --------------------------------------------
 
 
-def _stage_for(out_dir: str):
+@contextlib.contextmanager
+def _staged(out_dir: str):
+    """Yield (out, stage), a new hidden directory beside ``out`` removed on exit.
+
+    Only ``_finalize`` moves the stage to ``out``, so a failed command leaves nothing.
+    """
     out = os.path.abspath(out_dir)
     if os.path.exists(out):
         raise ConfigError(f"output path already exists: {out}")
     parent = os.path.dirname(out) or "."
     os.makedirs(parent, exist_ok=True)
-    return out, tempfile.mkdtemp(prefix=".stage-", dir=parent)
+    stage = tempfile.mkdtemp(prefix=".stage-", dir=parent)
+    try:
+        yield out, stage
+    finally:
+        if os.path.isdir(stage):
+            shutil.rmtree(stage)
 
 
 def _finalize(stage: str, out: str, expected: list) -> None:
@@ -183,6 +191,8 @@ def _finalize(stage: str, out: str, expected: list) -> None:
 
 def build_dataset(args, sections: dict):
     if args.dataset == "blobs":
+        if args.images is not None or args.labels is not None:
+            raise ConfigError("--images and --labels need --dataset idx")
         blob = coerce_section("blobs", sections.get("blobs", {}), BLOBS_DEFAULTS)
         raw = make_blobs(BlobSpec(**blob))
         descriptor = {"source": "blobs", **blob}
@@ -190,8 +200,7 @@ def build_dataset(args, sections: dict):
         if args.images is None:
             raise ConfigError("--dataset idx requires --images")
         idx = coerce_section("idx", sections.get("idx", {}), IDX_DEFAULTS)
-        n_clusters = idx["n_clusters"] if idx["n_clusters"] > 0 else None
-        raw = load_idx(args.images, args.labels, n_clusters=n_clusters)
+        raw = load_idx(args.images, args.labels, n_clusters=idx["n_clusters"] or None)
         descriptor = {"source": "idx", "images": os.path.abspath(args.images)}
         if args.labels is not None:
             descriptor["labels"] = os.path.abspath(args.labels)
@@ -246,8 +255,7 @@ def cmd_run(args) -> int:
     config = SpcConfig(**spc_kwargs)
     dataset, descriptor = build_dataset(args, sections)
 
-    out, stage = _stage_for(args.out)
-    try:
+    with _staged(args.out) as (out, stage):
         t_start = time.perf_counter()
         final, history, members = spc_train(dataset, config, workers=args.workers)
         train_seconds = time.perf_counter() - t_start
@@ -262,14 +270,7 @@ def cmd_run(args) -> int:
         }
         if dataset.labels is not None:
             truth = Labelling(labels=dataset.labels, n_clusters=dataset.n_clusters)
-            scores = evaluate(final, truth)
-            metrics.update(
-                {
-                    "accuracy": scores.accuracy,
-                    "nmi": scores.nmi,
-                    "rand_index": scores.rand_index,
-                }
-            )
+            metrics.update(evaluate(final, truth))
         with open(os.path.join(stage, "metrics.json"), "w") as f:
             f.write(json_text(metrics))
 
@@ -303,9 +304,6 @@ def cmd_run(args) -> int:
             out,
             ["manifest.json", "history.csv", "labels.csv", "metrics.json"] + member_paths,
         )
-    finally:
-        if os.path.isdir(stage):
-            shutil.rmtree(stage)
 
     print(
         f"run complete: {len(history)} iterations, "
@@ -358,23 +356,10 @@ def cmd_eval(args) -> int:
     # the ids of either file: the tables are sized by the distinct ids, not by
     # the largest one
     ids = np.union1d(predicted, truth)
-    scores = evaluate(
-        Labelling(labels=np.searchsorted(ids, predicted), n_clusters=ids.size),
-        Labelling(labels=np.searchsorted(ids, truth), n_clusters=ids.size),
-    )
-    cluster_sizes = {int(ids[rank]): size for rank, size in scores.cluster_sizes.items()}
-    print(
-        json_text(
-            {
-                "accuracy": scores.accuracy,
-                "nmi": scores.nmi,
-                "rand_index": scores.rand_index,
-                "cluster_sizes": cluster_sizes,
-                "n_points": int(truth.shape[0]),
-            }
-        ),
-        end="",
-    )
+    ranked = Labelling(labels=np.searchsorted(ids, predicted), n_clusters=ids.size)
+    scores = evaluate(ranked, Labelling(labels=np.searchsorted(ids, truth), n_clusters=ids.size))
+    sizes = {int(ids[rank]): size for rank, size in cluster_size_report(ranked).items()}
+    print(json_text({**scores, "cluster_sizes": sizes, "n_points": int(truth.shape[0])}), end="")
     return EXIT_OK
 
 
@@ -398,7 +383,7 @@ def _write_entropy_curve(path: str) -> None:
         writer.writerow(["n_clusters", "t", "entropy"])
         for C, curve in entropy_grid():
             for t, h in curve:
-                writer.writerow([C, f"{t:.10g}", f"{h:.10g}"])
+                writer.writerow([C, _fmt(t), _fmt(h)])
 
 
 def cmd_verify_theory(args) -> int:
@@ -409,15 +394,11 @@ def cmd_verify_theory(args) -> int:
     names = th.pop("samplers").replace(",", " ").split()
     report = run_theory_suite(**th, samplers=_make_samplers(names, th["dim"]))
 
-    out, stage = _stage_for(args.out)
-    try:
+    with _staged(args.out) as (out, stage):
         with open(os.path.join(stage, "theory_report.json"), "w") as f:
             f.write(json_text(report.to_json_dict()))
         _write_entropy_curve(os.path.join(stage, "entropy_curve.csv"))
         _finalize(stage, out, ["theory_report.json", "entropy_curve.csv"])
-    finally:
-        if os.path.isdir(stage):
-            shutil.rmtree(stage)
 
     for name, passed in report.claims():
         print(f"{name}: {'pass' if passed else 'FAIL'}")

@@ -167,12 +167,21 @@ def consensus(labellings: list, n_clusters: int) -> ConsensusResult:
     return ConsensusResult(consensus_labels=modes.astype(np.int64), agreement=agreement)
 
 
-def accuracy(predicted: Labelling, truth: Labelling) -> float:
-    """Best-permutation agreement rate between two labellings."""
+def _joint(predicted: Labelling, truth: Labelling) -> np.ndarray:
+    """The C x C co-occurrence table of two labellings of the same points.
+
+    C is the larger of the two id counts; the rows or columns past the
+    smaller one are zero, and every entry and margin is an exact integer.
+    """
     if predicted.n_points != truth.n_points:
         raise DataError("labellings must cover the same points")
     C = max(predicted.n_clusters, truth.n_clusters)
-    perm = _matching(predicted.labels, truth.labels, C)
+    return _cooccurrence(predicted.labels, truth.labels, C, C)
+
+
+def accuracy(predicted: Labelling, truth: Labelling) -> float:
+    """Best-permutation agreement rate between two labellings."""
+    perm = hungarian(-_joint(predicted, truth))
     return float((perm[predicted.labels] == truth.labels).mean())
 
 
@@ -186,10 +195,9 @@ def nmi(predicted: Labelling, truth: Labelling) -> float:
 
     Defined as 1 when both entropies vanish (both labellings constant).
     """
-    if predicted.n_points != truth.n_points:
-        raise DataError("labellings must cover the same points")
+    # unpadded: numpy sums a row of floats pairwise in an order set by its length
+    joint = _joint(predicted, truth)[: predicted.n_clusters, : truth.n_clusters]
     N = predicted.n_points
-    joint = _cooccurrence(predicted.labels, truth.labels, predicted.n_clusters, truth.n_clusters)
     hp = _entropy(joint.sum(axis=1))
     ht = _entropy(joint.sum(axis=0))
     if hp + ht == 0.0:
@@ -205,12 +213,10 @@ def nmi(predicted: Labelling, truth: Labelling) -> float:
 def rand_index(predicted: Labelling, truth: Labelling) -> float:
     """Fraction of unordered point pairs on which the labellings agree
     (both together or both apart), by pair counting."""
-    if predicted.n_points != truth.n_points:
-        raise DataError("labellings must cover the same points")
+    joint = _joint(predicted, truth)
     N = predicted.n_points
     if N < 2:
         raise DataError("rand index needs at least 2 points")
-    joint = _cooccurrence(predicted.labels, truth.labels, predicted.n_clusters, truth.n_clusters)
 
     def pairs(v):
         return float((v * (v - 1) / 2).sum())
@@ -228,26 +234,10 @@ def cluster_size_report(labelling: Labelling) -> dict:
     return {int(c): int(counts[c]) for c in range(labelling.n_clusters)}
 
 
-@dataclass(frozen=True)
-class Metrics:
-    """Evaluation summary for one labelling against ground truth."""
-
-    accuracy: float
-    nmi: float
-    rand_index: float
-    cluster_sizes: dict
-
-    def __post_init__(self):
-        for name in ("accuracy", "nmi", "rand_index"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise DataError(f"{name} out of range: {v}")
-
-
-def evaluate(predicted: Labelling, truth: Labelling) -> Metrics:
-    return Metrics(
-        accuracy=accuracy(predicted, truth),
-        nmi=nmi(predicted, truth),
-        rand_index=rand_index(predicted, truth),
-        cluster_sizes=cluster_size_report(predicted),
-    )
+def evaluate(predicted: Labelling, truth: Labelling) -> dict:
+    """{"accuracy", "nmi", "rand_index"} of ``predicted`` against ``truth``."""
+    return {
+        "accuracy": accuracy(predicted, truth),
+        "nmi": nmi(predicted, truth),
+        "rand_index": rand_index(predicted, truth),
+    }

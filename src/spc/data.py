@@ -7,6 +7,7 @@ range of a tanh output layer.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -95,76 +96,63 @@ class BlobSpec:
             raise DataError(f"seed must be >= 0, got {self.seed}")
 
 
-def _read_bytes(path) -> bytes:
+def _read_idx(path, magic: int) -> np.ndarray:
+    """The uint8 array of an IDX file starting with ``magic``, whose low byte is the rank.
+
+    Big-endian u32 dimensions follow the magic, then exactly their product of
+    bytes.  The magic is checked first, so a file of another kind fails on it.
+    """
     try:
         with open(path, "rb") as f:
-            return f.read()
+            buf = f.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-
-
-def _read_u32(buf: bytes, offset: int, path: str) -> int:
-    if offset + 4 > len(buf):
-        raise DataError(f"{path}: truncated header at byte offset {offset}")
-    return struct.unpack_from(">I", buf, offset)[0]
-
-
-def read_idx_images(path) -> np.ndarray:
-    """Read an IDX image file into a uint8 array of shape (N, rows, cols)."""
-    buf = _read_bytes(path)
-    magic = _read_u32(buf, 0, str(path))
-    if magic != IDX_IMAGE_MAGIC:
+    rank = magic & 0xFF
+    words = struct.unpack_from(f">{min(len(buf) // 4, rank + 1)}I", buf)
+    if words and words[0] != magic:
         raise DataError(
-            f"{path}: bad magic 0x{magic:08x} at byte offset 0, expected 0x{IDX_IMAGE_MAGIC:08x}"
+            f"{path}: bad magic 0x{words[0]:08x} at byte offset 0, expected 0x{magic:08x}"
         )
-    count = _read_u32(buf, 4, str(path))
-    rows = _read_u32(buf, 8, str(path))
-    cols = _read_u32(buf, 12, str(path))
-    expected = 16 + count * rows * cols
+    if len(words) <= rank:
+        raise DataError(f"{path}: truncated header at byte offset {4 * len(words)}")
+    header = 4 * (rank + 1)
+    expected = header + math.prod(words[1:])
     if len(buf) != expected:
         raise DataError(
             f"{path}: payload length {len(buf)} does not match declared counts "
             f"(expected {expected} bytes; mismatch from byte offset {min(len(buf), expected)})"
         )
-    return np.frombuffer(buf, dtype=np.uint8, offset=16).reshape(count, rows, cols).copy()
+    return np.frombuffer(buf, dtype=np.uint8, offset=header).reshape(words[1:]).copy()
+
+
+def _write_idx(path, magic: int, array: np.ndarray) -> None:
+    """Write ``array`` as uint8 in the IDX format of ``magic``, whose low byte is the rank."""
+    array = np.asarray(array, dtype=np.uint8)  # not ascontiguousarray: it lifts 0-d to 1-d
+    if array.ndim != magic & 0xFF:
+        raise DataError(f"IDX rank {magic & 0xFF} array expected, got shape {array.shape}")
+    with open(path, "wb") as f:
+        f.write(struct.pack(f">{array.ndim + 1}I", magic, *array.shape))
+        f.write(array.tobytes())
+
+
+def read_idx_images(path) -> np.ndarray:
+    """Read an IDX image file into a uint8 array of shape (N, rows, cols)."""
+    return _read_idx(path, IDX_IMAGE_MAGIC)
 
 
 def read_idx_labels(path) -> np.ndarray:
     """Read an IDX label file into a uint8 vector of shape (N,)."""
-    buf = _read_bytes(path)
-    magic = _read_u32(buf, 0, str(path))
-    if magic != IDX_LABEL_MAGIC:
-        raise DataError(
-            f"{path}: bad magic 0x{magic:08x} at byte offset 0, expected 0x{IDX_LABEL_MAGIC:08x}"
-        )
-    count = _read_u32(buf, 4, str(path))
-    expected = 8 + count
-    if len(buf) != expected:
-        raise DataError(
-            f"{path}: payload length {len(buf)} does not match declared count "
-            f"(expected {expected} bytes; mismatch from byte offset {min(len(buf), expected)})"
-        )
-    return np.frombuffer(buf, dtype=np.uint8, offset=8).copy()
+    return _read_idx(path, IDX_LABEL_MAGIC)
 
 
 def write_idx_images(path, images: np.ndarray) -> None:
     """Write a (N, rows, cols) uint8 array in IDX image format."""
-    images = np.ascontiguousarray(images, dtype=np.uint8)
-    if images.ndim != 3:
-        raise DataError(f"images must have shape (N, rows, cols), got {images.shape}")
-    with open(path, "wb") as f:
-        f.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, *images.shape))
-        f.write(images.tobytes())
+    _write_idx(path, IDX_IMAGE_MAGIC, images)
 
 
 def write_idx_labels(path, labels: np.ndarray) -> None:
     """Write a (N,) uint8 vector in IDX label format."""
-    labels = np.ascontiguousarray(labels, dtype=np.uint8)
-    if labels.ndim != 1:
-        raise DataError(f"labels must be a vector, got shape {labels.shape}")
-    with open(path, "wb") as f:
-        f.write(struct.pack(">II", IDX_LABEL_MAGIC, labels.shape[0]))
-        f.write(labels.tobytes())
+    _write_idx(path, IDX_LABEL_MAGIC, labels)
 
 
 def load_idx(images_path, labels_path=None, n_clusters: int | None = None) -> Dataset:

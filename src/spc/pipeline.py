@@ -388,7 +388,6 @@ def spc_train(
     dropped from that iteration's vote; the run only fails when every voter
     does.
     """
-    _check_normalized(dataset.points)
     C = dataset.n_clusters
     K = config.n_members
     points = dataset.points

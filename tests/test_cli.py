@@ -26,6 +26,7 @@ from spc.cli import (
     read_config,
     BLOBS_DEFAULTS,
 )
+import spc.cli as cli
 import spc.pipeline as pipeline
 from spc.data import BlobSpec, write_idx_images, write_idx_labels
 from spc.errors import ConfigError, DataError, NumericError
@@ -371,6 +372,51 @@ def test_run_bad_blob_spec_exits_2(tmp_path):
     assert not os.path.exists(out)
 
 
+def three_class_idx(tmp_path):
+    """--images/--labels arguments for 30 labelled 2x2 images in 3 classes."""
+    labels = np.repeat(np.arange(3, dtype=np.uint8), 10)
+    write_idx_images(tmp_path / "im.idx", np.repeat(labels * 80, 4).reshape(30, 2, 2))
+    write_idx_labels(tmp_path / "lb.idx", labels)
+    return ["--images", str(tmp_path / "im.idx"), "--labels", str(tmp_path / "lb.idx")]
+
+
+@pytest.mark.parametrize("section, n_clusters", [("blobs", "1"), ("idx", "1"), ("idx", "-3")])
+def test_run_bad_cluster_count_exits_2(tmp_path, capsys, section, n_clusters):
+    cfg = write(tmp_path / "c.ini", f"[{section}]\nn_clusters = {n_clusters}\n")
+    out = run_dir(tmp_path)
+    argv = ["run", "--config", cfg, "--out", out]
+    if section == "idx":
+        argv += ["--dataset", "idx"] + three_class_idx(tmp_path)
+    assert main(argv) == EXIT_DATA
+    assert one_line_error(capsys, "data error: n_clusters must be >= 2")
+    assert not os.path.exists(out)
+    assert no_stage_leftovers(tmp_path)
+
+
+@pytest.mark.parametrize("flag", ["--images", "--labels"])
+def test_run_idx_file_without_idx_dataset_exits_1(tmp_path, capsys, flag):
+    files = dict(zip(["--images", "--labels"], three_class_idx(tmp_path)[1::2]))
+    out = run_dir(tmp_path)
+    assert main(["run", flag, files[flag], "--out", out]) == EXIT_CONFIG
+    assert one_line_error(capsys, "config error: --images and --labels need --dataset idx")
+    assert not os.path.exists(out)
+    assert no_stage_leftovers(tmp_path)
+
+
+def test_run_failure_after_staging_leaves_nothing(tmp_path, capsys, monkeypatch):
+    def failing(path, member):
+        assert os.path.basename(os.path.dirname(os.path.dirname(path))).startswith(".stage-")
+        raise DataError("injected checkpoint failure")
+
+    monkeypatch.setattr(cli, "save_member", failing)
+    cfg = write(tmp_path / "c.ini", SMALL_INI)
+    out = run_dir(tmp_path)
+    assert main(["run", "--config", cfg, "--out", out]) == EXIT_DATA
+    assert one_line_error(capsys, "data error: injected checkpoint failure")
+    assert not os.path.exists(out)
+    assert no_stage_leftovers(tmp_path)
+
+
 def test_run_idx_dataset_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
     centers = np.array([40, 128, 216])
@@ -655,6 +701,20 @@ def test_verify_theory_dim_below_one_exits_1(tmp_path, capsys, dim):
     assert main(["verify-theory", "--config", cfg, "--out", out]) == EXIT_CONFIG
     assert one_line_error(capsys, "config error: dim must be >= 1")
     assert not os.path.exists(out)
+
+
+def test_verify_theory_failure_after_staging_leaves_nothing(tmp_path, capsys, monkeypatch):
+    def failing(path):
+        assert os.path.basename(os.path.dirname(path)).startswith(".stage-")
+        raise DataError("injected curve failure")
+
+    monkeypatch.setattr(cli, "_write_entropy_curve", failing)
+    cfg = write(tmp_path / "t.ini", FAST_THEORY_INI)
+    out = run_dir(tmp_path)
+    assert main(["verify-theory", "--config", cfg, "--out", out]) == EXIT_DATA
+    assert one_line_error(capsys, "data error: injected curve failure")
+    assert not os.path.exists(out)
+    assert no_stage_leftovers(tmp_path)
 
 
 def test_verify_theory_existing_out_exits_1(tmp_path):

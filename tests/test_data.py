@@ -56,9 +56,15 @@ def test_idx_label_parse(tmp_path):
 
 def test_idx_bad_magic(tmp_path):
     p = tmp_path / "img.idx"
-    p.write_bytes(struct.pack(">IIII", 0x00000802, 2, 2, 3) + bytes(12))
-    with pytest.raises(DataError, match="byte offset 0"):
-        read_idx_images(p)
+    # the label files are shorter than an image header: the magic is checked first
+    for blob in (
+        struct.pack(">IIII", 0x00000802, 2, 2, 3) + bytes(12),
+        LABEL_BYTES,
+        struct.pack(">II", 0x00000801, 0),
+    ):
+        p.write_bytes(blob)
+        with pytest.raises(DataError, match="bad magic 0x0000080[12] at byte offset 0"):
+            read_idx_images(p)
 
 
 def test_idx_truncated(tmp_path):
@@ -70,6 +76,22 @@ def test_idx_truncated(tmp_path):
     q.write_bytes(IMAGE_BYTES[:10])
     with pytest.raises(DataError):
         read_idx_images(q)
+
+
+@pytest.mark.parametrize(
+    "writer, array",
+    [
+        (write_idx_images, np.zeros((2, 3), dtype=np.uint8)),
+        (write_idx_images, np.zeros((1, 2, 3, 4), dtype=np.uint8)),
+        (write_idx_labels, np.zeros((2, 1), dtype=np.uint8)),
+        (write_idx_labels, np.uint8(7)),
+    ],
+)
+def test_idx_writers_reject_wrong_rank(tmp_path, writer, array):
+    p = tmp_path / "out.idx"
+    with pytest.raises(DataError, match="rank"):
+        writer(p, array)
+    assert not p.exists()
 
 
 def test_idx_missing_file_is_data_error(tmp_path):
