@@ -11,7 +11,8 @@ failure, 4 theory claim failure.
 
 The config file is INI-style with optional sections [spc], [blobs], [idx]
 and [theory]; every key has a default, so an empty file (or no --config at
-all) runs the canonical blob experiment.  Runs are staged in a hidden
+all) runs the canonical blob experiment.  Every command checks every
+section, including those it does not read.  Runs are staged in a hidden
 temporary directory and renamed into place only on success, so an output
 directory either exists completely or not at all.  Metrics are written with
 sorted keys and floats at 10 significant digits to keep reruns diffable.
@@ -49,60 +50,56 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 EXIT_CLAIM = 4
 
-BLOBS_DEFAULTS = dataclasses.asdict(BlobSpec())
-
-# n_clusters 0 means "take it from the label file"
-IDX_DEFAULTS = {"n_clusters": 0}
-
-# [theory] is run_theory_suite's keyword defaults plus the default sampler names
-THEORY_DEFAULTS = {
-    name: param.default
-    for name, param in inspect.signature(run_theory_suite).parameters.items()
-    if name != "samplers"
+# Each section's defaults, which also fix its keys and their types.  [idx]
+# n_clusters 0 means "take it from the label file"; [theory] is
+# run_theory_suite's keyword defaults plus the default sampler names.
+DEFAULTS = {
+    "spc": dataclasses.asdict(SpcConfig()),
+    "blobs": dataclasses.asdict(BlobSpec()),
+    "idx": {"n_clusters": 0},
+    "theory": {
+        name: param.default
+        for name, param in inspect.signature(run_theory_suite).parameters.items()
+        if name != "samplers"
+    },
 }
-THEORY_DEFAULTS["samplers"] = ",".join(default_samplers(THEORY_DEFAULTS["dim"]))
-
-KNOWN_SECTIONS = ("spc", "blobs", "idx", "theory")
-
-
-def _spc_defaults() -> dict:
-    return dataclasses.asdict(SpcConfig())
+DEFAULTS["theory"]["samplers"] = ",".join(default_samplers(DEFAULTS["theory"]["dim"]))
 
 
 # ---- config parsing -------------------------------------------------------
 
 
 def read_config(path: str | None) -> dict:
-    """Parse the INI file into {section: {key: raw string}}; None means empty."""
-    if path is None:
-        return {}
-    if not os.path.isfile(path):
-        raise ConfigError(f"config file not found: {path}")
-    # values are taken literally: no %-interpolation
-    parser = configparser.ConfigParser(interpolation=None)
-    try:
-        with open(path, encoding="utf-8") as f:
-            parser.read_file(f)
-    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
-        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
-    for section in parser.sections():
-        if section not in KNOWN_SECTIONS:
-            raise ConfigError(
-                f"unknown config section [{section}]; expected one of {KNOWN_SECTIONS}"
-            )
-    return {s: dict(parser.items(s)) for s in parser.sections()}
+    """Every section's settings, {section: {key: value}}: the file's over the defaults.
+
+    None reads as an empty file.  Every section is checked, whichever command
+    reads it: an unknown section or key, or a value of the wrong type, is a
+    ConfigError.
+    """
+    raw = {}
+    if path is not None:
+        if not os.path.isfile(path):
+            raise ConfigError(f"config file not found: {path}")
+        # values are taken literally: no %-interpolation
+        parser = configparser.ConfigParser(interpolation=None)
+        try:
+            with open(path, encoding="utf-8") as f:
+                parser.read_file(f)
+        except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+            raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+        for section in parser.sections():
+            if section not in DEFAULTS:
+                raise ConfigError(
+                    f"unknown config section [{section}]; expected one of {tuple(DEFAULTS)}"
+                )
+        raw = {s: dict(parser.items(s)) for s in parser.sections()}
+    return {name: coerce_section(name, raw.get(name, {}), d) for name, d in DEFAULTS.items()}
 
 
 def _parse_value(section: str, key: str, text: str, default):
+    """The value of ``text`` as the type of ``default``."""
     text = text.strip()
     try:
-        if key == "loop_learning_rate":
-            return None if text.lower() in ("", "none") else float(text)
-        if key == "hidden_widths":
-            parts = text.replace(",", " ").split()
-            if not parts:
-                raise ValueError("empty width list")
-            return tuple(int(p) for p in parts)
         if isinstance(default, bool):
             word = text.lower()
             if word not in configparser.ConfigParser.BOOLEAN_STATES:
@@ -112,6 +109,11 @@ def _parse_value(section: str, key: str, text: str, default):
             return int(text, 10)
         if isinstance(default, float):
             return float(text)
+        if isinstance(default, tuple):
+            parts = text.replace(",", " ").split()
+            if not parts:
+                raise ValueError("empty list")
+            return tuple(int(p) for p in parts)
         return text
     except ValueError as exc:
         raise ConfigError(f"bad value for {key} in [{section}]: {exc}") from exc
@@ -133,11 +135,7 @@ def coerce_section(section: str, raw: dict, defaults: dict) -> dict:
 
 def _fmt(value) -> str:
     """The one number format: floats at 10 significant digits, None as empty."""
-    if value is None:
-        return ""
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.10g}"
-    return str(value)
+    return "" if value is None else f"{float(value):.10g}"
 
 
 def _round_floats(obj):
@@ -193,14 +191,13 @@ def build_dataset(args, sections: dict):
     if args.dataset == "blobs":
         if args.images is not None or args.labels is not None:
             raise ConfigError("--images and --labels need --dataset idx")
-        blob = coerce_section("blobs", sections.get("blobs", {}), BLOBS_DEFAULTS)
-        raw = make_blobs(BlobSpec(**blob))
-        descriptor = {"source": "blobs", **blob}
+        raw = make_blobs(BlobSpec(**sections["blobs"]))
+        descriptor = {"source": "blobs", **sections["blobs"]}
     else:
         if args.images is None:
             raise ConfigError("--dataset idx requires --images")
-        idx = coerce_section("idx", sections.get("idx", {}), IDX_DEFAULTS)
-        raw = load_idx(args.images, args.labels, n_clusters=idx["n_clusters"] or None)
+        n_clusters = sections["idx"]["n_clusters"]
+        raw = load_idx(args.images, args.labels, n_clusters=n_clusters or None)
         descriptor = {"source": "idx", "images": os.path.abspath(args.images)}
         if args.labels is not None:
             descriptor["labels"] = os.path.abspath(args.labels)
@@ -249,7 +246,7 @@ def cmd_run(args) -> int:
     if args.workers is not None and args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     sections = read_config(args.config)
-    spc_kwargs = coerce_section("spc", sections.get("spc", {}), _spc_defaults())
+    spc_kwargs = sections["spc"]
     if args.seed is not None:
         spc_kwargs["master_seed"] = args.seed
     config = SpcConfig(**spc_kwargs)
@@ -387,8 +384,7 @@ def _write_entropy_curve(path: str) -> None:
 
 
 def cmd_verify_theory(args) -> int:
-    sections = read_config(args.config)
-    th = coerce_section("theory", sections.get("theory", {}), THEORY_DEFAULTS)
+    th = read_config(args.config)["theory"]
     if args.seed is not None:
         th["seed"] = args.seed
     names = th.pop("samplers").replace(",", " ").split()

@@ -26,41 +26,42 @@ LEAKY_SLOPE = 0.01
 CE_CLAMP = 1e-12
 CLASSIFIER_HIDDEN = 25  # fixed width of the classifier's single hidden layer
 
-_ACTIVATIONS = ("leaky_relu", "tanh", "softmax")
+
+def _leaky_relu(z: np.ndarray) -> np.ndarray:
+    # max(z, s z) for 0 < s < 1 is z where z > 0 and s z elsewhere, bit for
+    # bit (signed zeros, infinities and NaN too); in place to save a buffer
+    a = LEAKY_SLOPE * z
+    return np.maximum(z, a, out=a)
 
 
-def _apply_activation(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "leaky_relu":
-        # max(z, s z) for 0 < s < 1 is z where z > 0 and s z elsewhere, bit for
-        # bit (signed zeros, infinities and NaN too); in place to save a buffer
-        a = LEAKY_SLOPE * z
-        return np.maximum(z, a, out=a)
-    if kind == "tanh":
-        return np.tanh(z)
-    if kind == "softmax":
-        shifted = z - z.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=1, keepdims=True)
-    raise SpcError(f"unknown activation {kind!r}")
+def _leaky_relu_backward(grad_a: np.ndarray, z: np.ndarray, a: np.ndarray) -> np.ndarray:
+    # the slope factor is exactly 1.0 or LEAKY_SLOPE: for 0 < s <= 1/2,
+    # (1 - s) + s rounds to 1.0.  Arithmetic instead of a select on z > 0
+    # gives the same bits several times faster.
+    factor = (z > 0.0) * (1.0 - LEAKY_SLOPE)
+    factor += LEAKY_SLOPE
+    factor *= grad_a
+    return factor
 
 
-def _activation_backward(grad_a: np.ndarray, z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
-    """Pull a gradient back through an activation: dL/da -> dL/dz."""
-    if kind == "leaky_relu":
-        # the slope factor is exactly 1.0 or LEAKY_SLOPE: for 0 < s <= 1/2,
-        # (1 - s) + s rounds to 1.0.  Arithmetic instead of a select on z > 0
-        # gives the same bits several times faster.
-        factor = (z > 0.0) * (1.0 - LEAKY_SLOPE)
-        factor += LEAKY_SLOPE
-        factor *= grad_a
-        return factor
-    if kind == "tanh":
-        return grad_a * (1.0 - a * a)
-    if kind == "softmax":
-        # rows couple: dL/dz_k = p_k (dL/da_k - sum_i dL/da_i p_i)
-        inner = (grad_a * a).sum(axis=1, keepdims=True)
-        return a * (grad_a - inner)
-    raise SpcError(f"unknown activation {kind!r}")
+def _softmax(z: np.ndarray) -> np.ndarray:
+    shifted = z - z.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _softmax_backward(grad_a: np.ndarray, z: np.ndarray, a: np.ndarray) -> np.ndarray:
+    # rows couple: dL/dz_k = p_k (dL/da_k - sum_i dL/da_i p_i)
+    inner = (grad_a * a).sum(axis=1, keepdims=True)
+    return a * (grad_a - inner)
+
+
+# (forward a = act(z), backward (dL/da, z, a) -> dL/dz) per activation name
+_ACTIVATIONS = {
+    "leaky_relu": (_leaky_relu, _leaky_relu_backward),
+    "tanh": (np.tanh, lambda grad_a, z, a: grad_a * (1.0 - a * a)),
+    "softmax": (_softmax, _softmax_backward),
+}
 
 
 class Mlp:
@@ -74,10 +75,10 @@ class Mlp:
         widths = [int(w) for w in widths]
         if len(widths) < 2 or any(w < 1 for w in widths):
             raise SpcError(f"need >= 2 positive layer widths, got {widths}")
-        if output_activation not in _ACTIVATIONS:
-            raise SpcError(f"unknown activation {output_activation!r}")
         self.widths = widths
-        self.output_activation = output_activation
+        # one (forward, backward) pair per layer
+        hidden, output = _ACTIVATIONS["leaky_relu"], _ACTIVATIONS[output_activation]
+        self.activations = [hidden] * (len(widths) - 2) + [output]
         self.weights: list[np.ndarray] = []
         self.biases: list[np.ndarray] = []
         for fan_in, fan_out in zip(widths[:-1], widths[1:]):
@@ -89,15 +90,12 @@ class Mlp:
     def n_layers(self) -> int:
         return len(self.weights)
 
-    def _activation_of(self, layer: int) -> str:
-        return self.output_activation if layer == self.n_layers - 1 else "leaky_relu"
-
     def forward(self, x: np.ndarray, cache: list | None = None) -> np.ndarray:
         a = x
         for l in range(self.n_layers):
             z = a @ self.weights[l].T
             z += self.biases[l]
-            a_next = _apply_activation(z, self._activation_of(l))
+            a_next = self.activations[l][0](z)
             if cache is not None:
                 cache.append((a, z, a_next))
             a = a_next
@@ -115,7 +113,7 @@ class Mlp:
         g = grad_out
         for l in range(self.n_layers - 1, -1, -1):
             x_in, z, a = cache[l]
-            gz = _activation_backward(g, z, a, self._activation_of(l))
+            gz = self.activations[l][1](g, z, a)
             if param_grads:
                 grads[l] = (gz.T @ x_in, gz.sum(axis=0))
             g = gz @ self.weights[l] if l > 0 or input_grad else None
@@ -153,8 +151,8 @@ class AutoencoderMember:
         latent_dim: int,
         n_clusters: int,
         seed: int,
-        noise_stddev: float = 0.1,
-        hidden_widths=(256, 128),
+        noise_stddev: float,
+        hidden_widths,
     ):
         if min(input_dim, latent_dim, n_clusters) < 1:
             raise SpcError("dims must be positive")
@@ -254,20 +252,21 @@ class AutoencoderMember:
         batch: np.ndarray,
         consensus_labels: np.ndarray,
         agreement_flags: np.ndarray,
-        train_mode: bool = False,
-        noise_seed: int = 0,
+        noise_seed: int | None = None,
         recon_weight: float = 1.0,
     ) -> float:
         """This member's share of the combined objective; caches for backward.
 
         Returns (1/B) * [ sum_{a_i=1} CE_i + w * sum_{a_i=0} (1/n) |rec_i - x_i|_1 ].
+        With a noise_seed, as in training, the latent codes get seeded Gaussian
+        noise of the member's noise_stddev; None means no noise.
         """
         batch = self._check_batch(batch)
         labels, agreed = self._targets(consensus_labels, agreement_flags, batch.shape[0])
 
         enc_cache: list = []
         latent = self.encoder.forward(batch, cache=enc_cache)
-        if train_mode and self.noise_stddev > 0:
+        if noise_seed is not None and self.noise_stddev > 0:
             noise_rng = np.random.default_rng(noise_seed)
             latent = latent + self.noise_stddev * noise_rng.standard_normal(latent.shape)
         dec_cache: list = []
@@ -350,8 +349,12 @@ CHECKPOINT_VERSION = 1
 _STACKS = ("encoder", "decoder", "classifier")
 
 
-def member_state(member: AutoencoderMember) -> dict:
-    """Flat array dict describing a member; row-major matrices with shapes."""
+def save_member(path, member: AutoencoderMember) -> None:
+    """Write a member checkpoint; loading reproduces every matrix bitwise.
+
+    The npz holds flat arrays: the meta header, the noise level, the hidden
+    widths, then each stack's row-major weights and biases layer by layer.
+    """
     state = {
         "meta": np.array(
             [
@@ -371,41 +374,32 @@ def member_state(member: AutoencoderMember) -> dict:
         for l in range(mlp.n_layers):
             state[f"{name}_w{l}"] = np.ascontiguousarray(mlp.weights[l])
             state[f"{name}_b{l}"] = np.ascontiguousarray(mlp.biases[l])
-    return state
-
-
-def member_from_state(state) -> AutoencoderMember:
-    meta = np.asarray(state["meta"], dtype=np.uint64)
-    if meta[0] != CHECKPOINT_VERSION:
-        raise DataError(f"unsupported checkpoint version {meta[0]}")
-    member = AutoencoderMember(
-        int(meta[1]),
-        int(meta[2]),
-        int(meta[3]),
-        int(meta[4]),
-        noise_stddev=float(state["noise_stddev"]),
-        hidden_widths=tuple(int(w) for w in state["hidden_widths"]),
-    )
-    for name in _STACKS:
-        mlp = getattr(member, name)
-        for l in range(mlp.n_layers):
-            w = np.asarray(state[f"{name}_w{l}"], dtype=np.float64)
-            b = np.asarray(state[f"{name}_b{l}"], dtype=np.float64)
-            if w.shape != mlp.weights[l].shape or b.shape != mlp.biases[l].shape:
-                raise DataError(f"checkpoint shape mismatch in {name} layer {l}")
-            mlp.weights[l] = w.copy()
-            mlp.biases[l] = b.copy()
-    return member
-
-
-def save_member(path, member: AutoencoderMember) -> None:
-    """Write a member checkpoint; loading reproduces every matrix bitwise."""
-    np.savez(path, **member_state(member))
+    np.savez(path, **state)
 
 
 def load_member(path) -> AutoencoderMember:
     try:
-        with np.load(path) as data:
-            return member_from_state(data)
+        with np.load(path) as state:
+            meta = np.asarray(state["meta"], dtype=np.uint64)
+            if meta[0] != CHECKPOINT_VERSION:
+                raise DataError(f"unsupported checkpoint version {meta[0]}")
+            member = AutoencoderMember(
+                int(meta[1]),
+                int(meta[2]),
+                int(meta[3]),
+                int(meta[4]),
+                noise_stddev=float(state["noise_stddev"]),
+                hidden_widths=tuple(int(w) for w in state["hidden_widths"]),
+            )
+            for name in _STACKS:
+                mlp = getattr(member, name)
+                for l in range(mlp.n_layers):
+                    w = np.asarray(state[f"{name}_w{l}"], dtype=np.float64)
+                    b = np.asarray(state[f"{name}_b{l}"], dtype=np.float64)
+                    if w.shape != mlp.weights[l].shape or b.shape != mlp.biases[l].shape:
+                        raise DataError(f"checkpoint shape mismatch in {name} layer {l}")
+                    mlp.weights[l] = w.copy()
+                    mlp.biases[l] = b.copy()
+            return member
     except (OSError, ValueError, KeyError) as exc:
         raise DataError(f"unreadable member checkpoint {path}: {exc}") from exc

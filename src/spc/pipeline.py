@@ -51,7 +51,10 @@ class SpcConfig:
     pretrain_epochs: int = 60
     loop_epochs: int = 10
     learning_rate: float = 0.3
-    loop_learning_rate: float | None = 0.01
+    # reconstruction needs a large step to leave the small-gradient regime
+    # around the init scale; the selective phase must move gently, or
+    # consecutive clusterings decohere
+    loop_learning_rate: float = 0.01
     noise_stddev: float = 0.08
     plateau_patience: int = 2
     max_iterations: int = 12
@@ -73,10 +76,8 @@ class SpcConfig:
             raise ConfigError("loop_epochs must be >= 1")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError("learning_rate must be positive and finite")
-        if self.loop_learning_rate is not None and not (
-            np.isfinite(self.loop_learning_rate) and self.loop_learning_rate > 0
-        ):
-            raise ConfigError("loop_learning_rate must be positive and finite when set")
+        if not (np.isfinite(self.loop_learning_rate) and self.loop_learning_rate > 0):
+            raise ConfigError("loop_learning_rate must be positive and finite")
         if not (np.isfinite(self.noise_stddev) and self.noise_stddev >= 0):
             raise ConfigError("noise_stddev must be non-negative and finite")
         if self.plateau_patience < 1:
@@ -94,16 +95,6 @@ class SpcConfig:
         object.__setattr__(self, "hidden_widths", tuple(int(w) for w in self.hidden_widths))
         if any(w < 1 for w in self.hidden_widths):
             raise ConfigError("hidden widths must be positive")
-
-    @property
-    def effective_loop_rate(self) -> float:
-        """Step size of the selective phase; None means share the pretrain rate.
-
-        Reconstruction needs a large step to escape the small-gradient regime
-        around the init scale, but once the latent geometry is established the
-        selective phase must move gently or consecutive clusterings decohere.
-        """
-        return self.learning_rate if self.loop_learning_rate is None else self.loop_learning_rate
 
 
 @dataclass(frozen=True)
@@ -267,34 +258,21 @@ def train_epoch(
         idx = order[start : start + config.batch_size]
         noise_seed = int(rng.integers(2**63))
         member.forward_loss(
-            points[idx],
-            labels[idx],
-            flags[idx],
-            train_mode=True,
-            noise_seed=noise_seed,
-            recon_weight=config.recon_weight,
+            points[idx], labels[idx], flags[idx], noise_seed=noise_seed, recon_weight=config.recon_weight
         )
         member.sgd_step(member.backward(learning_rate, train_decoder=not freeze_decoder))
 
 
-def pretrain(
-    members: list,
-    dataset: Dataset,
-    config: SpcConfig,
-    rngs: list | None = None,
-    workers: int | None = None,
-) -> list:
+def pretrain(members: list, dataset: Dataset, config: SpcConfig, workers: int | None = None) -> list:
     """Reconstruction-only training of every member, in place.
 
     With all agreement flags at zero the objective reduces to l1
     reconstruction, and the classifier receives exactly zero gradient, so the
-    selective loss machinery doubles as the pretraining objective.
+    selective loss machinery doubles as the pretraining objective.  Returns
+    member j's training stream, which the selective phase continues.
     """
     _check_normalized(dataset.points)
-    if rngs is None:
-        rngs = [_member_streams(config, j)[1] for j in range(len(members))]
-    if len(rngs) != len(members):
-        raise ConfigError("need one rng per member")
+    rngs = [_member_streams(config, j)[1] for j in range(len(members))]
     zeros = np.zeros(dataset.n_points, dtype=np.int64)
 
     def job(member, rng):
@@ -311,7 +289,7 @@ def pretrain(
             )
 
     _fan_out([lambda m=m, r=r: job(m, r) for m, r in zip(members, rngs)], workers)
-    return members
+    return rngs
 
 
 # ---- clustering and consensus ---------------------------------------------
@@ -392,12 +370,11 @@ def spc_train(
     K = config.n_members
     points = dataset.points
     members = build_members(dataset, config)
-    train_rngs = [_member_streams(config, j)[1] for j in range(K)]
     # voter K takes the next stream index, so its stream never collides with
     # a real member's
     cluster_rngs = [_member_streams(config, j)[2] for j in range(K + config.concat_member)]
 
-    pretrain(members, dataset, config, rngs=train_rngs, workers=workers)
+    train_rngs = pretrain(members, dataset, config, workers=workers)
 
     history: list = []
     result = None
@@ -481,7 +458,7 @@ def spc_train(
                     flags,
                     train_rngs[j],
                     config,
-                    config.effective_loop_rate,
+                    config.loop_learning_rate,
                     freeze_decoder=True,
                 )
 

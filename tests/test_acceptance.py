@@ -104,13 +104,13 @@ def test_criterion_02_gradients_match_finite_differences():
         latent_dim = int(rng.integers(2, 4))
         n_clusters = int(rng.integers(2, 4))
         hidden = (int(rng.integers(4, 7)),)
-        train_mode = bool(trial % 2)
+        noisy = bool(trial % 2)
         member = AutoencoderMember(
             input_dim,
             latent_dim,
             n_clusters,
             seed=int(rng.integers(2**31)),
-            noise_stddev=0.05 if train_mode else 0.0,
+            noise_stddev=0.05 if noisy else 0.0,
             hidden_widths=hidden,
         )
         batch = rng.uniform(-1, 1, size=(3, input_dim))
@@ -119,9 +119,7 @@ def test_criterion_02_gradients_match_finite_differences():
         noise_seed = int(rng.integers(2**31))
 
         def loss():
-            return member.forward_loss(
-                batch, labels, flags, train_mode=train_mode, noise_seed=noise_seed
-            )
+            return member.forward_loss(batch, labels, flags, noise_seed=noise_seed)
 
         loss()
         update = member.backward(learning_rate=0.0)

@@ -1,3 +1,4 @@
+import configparser
 import csv
 import itertools
 import json
@@ -17,20 +18,17 @@ from spc.cli import (
     EXIT_DATA,
     EXIT_NUMERIC,
     EXIT_OK,
-    IDX_DEFAULTS,
-    THEORY_DEFAULTS,
+    DEFAULTS,
     _read_label_csv,
     coerce_section,
     json_text,
     main,
     read_config,
-    BLOBS_DEFAULTS,
 )
 import spc.cli as cli
 import spc.pipeline as pipeline
-from spc.data import BlobSpec, write_idx_images, write_idx_labels
+from spc.data import write_idx_images, write_idx_labels
 from spc.errors import ConfigError, DataError, NumericError
-from spc.pipeline import SpcConfig
 
 
 SMALL_INI = """
@@ -78,8 +76,8 @@ def test_read_config_missing_file():
         read_config("/nonexistent/config.ini")
 
 
-def test_read_config_none_is_empty():
-    assert read_config(None) == {}
+def test_read_config_none_is_empty(tmp_path):
+    assert read_config(None) == read_config(write(tmp_path / "c.ini", "")) == DEFAULTS
 
 
 def test_read_config_unknown_section(tmp_path):
@@ -90,7 +88,7 @@ def test_read_config_unknown_section(tmp_path):
 
 def test_read_config_takes_percent_literally(tmp_path):
     path = write(tmp_path / "c.ini", "[theory]\nsamplers = a%b, %(x)s\n")
-    assert read_config(path) == {"theory": {"samplers": "a%b, %(x)s"}}
+    assert read_config(path)["theory"]["samplers"] == "a%b, %(x)s"
 
 
 CONFIG_LINES = st.one_of(
@@ -115,68 +113,60 @@ def test_read_config_on_arbitrary_bytes_raises_only_config_error(tmp_path_factor
         sections = read_config(str(path))
     except ConfigError:
         return
-    assert set(sections) <= {"spc", "blobs", "idx", "theory"}
+    assert set(sections) == set(DEFAULTS)
 
 
 def test_coerce_section_unknown_key():
     with pytest.raises(ConfigError):
-        coerce_section("blobs", {"dimension": "3"}, BLOBS_DEFAULTS)
+        coerce_section("blobs", {"dimension": "3"}, DEFAULTS["blobs"])
 
 
 def test_coerce_section_bad_int():
     with pytest.raises(ConfigError):
-        coerce_section("blobs", {"n_clusters": "four"}, BLOBS_DEFAULTS)
+        coerce_section("blobs", {"n_clusters": "four"}, DEFAULTS["blobs"])
 
 
 def test_coerce_section_types():
-    from spc.cli import _spc_defaults
-
     out = coerce_section(
         "spc",
         {
-            "loop_learning_rate": "none",
             "hidden_widths": "32, 16",
             "concat_member": "yes",
             "learning_rate": "0.25",
             "n_members": "3",
+            "clusterer": " gmm ",
         },
-        _spc_defaults(),
+        DEFAULTS["spc"],
     )
-    assert out["loop_learning_rate"] is None
     assert out["hidden_widths"] == (32, 16)
     assert out["concat_member"] is True
     assert out["learning_rate"] == 0.25
     assert out["n_members"] == 3
+    assert out["clusterer"] == "gmm"
 
 
 def test_coerce_section_loop_rate_number():
-    from spc.cli import _spc_defaults
-
-    out = coerce_section("spc", {"loop_learning_rate": "0.02"}, _spc_defaults())
+    out = coerce_section("spc", {"loop_learning_rate": "0.02"}, DEFAULTS["spc"])
     assert out["loop_learning_rate"] == 0.02
 
 
 def test_coerce_section_bad_bool():
-    from spc.cli import _spc_defaults
-
     with pytest.raises(ConfigError):
-        coerce_section("spc", {"concat_member": "maybe"}, _spc_defaults())
+        coerce_section("spc", {"concat_member": "maybe"}, DEFAULTS["spc"])
 
 
 def test_readme_config_block_parses_to_the_defaults(tmp_path):
-    from spc.cli import _spc_defaults
-
     readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
     with open(readme, encoding="utf-8") as f:
         (block,) = re.findall(r"```ini\n(.*?)```", f.read(), flags=re.S)
-    sections = read_config(write(tmp_path / "readme.ini", block))
-    spc = coerce_section("spc", sections["spc"], _spc_defaults())
-    blobs = coerce_section("blobs", sections["blobs"], BLOBS_DEFAULTS)
-    assert set(sections["spc"]) == set(_spc_defaults()) and SpcConfig(**spc) == SpcConfig()
-    assert set(sections["blobs"]) == set(BLOBS_DEFAULTS) and BlobSpec(**blobs) == BlobSpec()
-    for name, defaults in (("idx", IDX_DEFAULTS), ("theory", THEORY_DEFAULTS)):
-        assert set(sections[name]) == set(defaults)
-        assert coerce_section(name, sections[name], defaults) == defaults
+    path = write(tmp_path / "readme.ini", block)
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(path, encoding="utf-8")
+    # the block lists every key of every section, each at its default
+    assert {s: set(parser[s]) for s in parser.sections()} == {
+        s: set(d) for s, d in DEFAULTS.items()
+    }
+    assert read_config(path) == DEFAULTS
 
 
 def test_json_text_formatting():
@@ -289,6 +279,26 @@ def test_run_malformed_config_leaves_nothing(tmp_path):
     assert no_stage_leftovers(tmp_path)
 
 
+@pytest.mark.parametrize(
+    "command, ini, message",
+    [
+        ("run", "[theory]\nfoo = 2\n", "unknown key 'foo' in [theory]"),
+        ("run", "[idx]\nbogus = 1\n", "unknown key 'bogus' in [idx]"),
+        ("run", "[spc]\nloop_learning_rate = none\n", "bad value for loop_learning_rate"),
+        ("run", "[spc]\nloop_learning_rate =\n", "bad value for loop_learning_rate"),
+        ("verify-theory", "[spc]\nbogus = 1\n", "unknown key 'bogus' in [spc]"),
+        ("verify-theory", "[blobs]\nseed = x\n", "bad value for seed in [blobs]"),
+    ],
+)
+def test_every_command_checks_every_section(tmp_path, capsys, command, ini, message):
+    cfg = write(tmp_path / "c.ini", ini)
+    out = run_dir(tmp_path)
+    assert main([command, "--config", cfg, "--out", out]) == EXIT_CONFIG
+    assert one_line_error(capsys, f"config error: {message}")
+    assert not os.path.exists(out)
+    assert no_stage_leftovers(tmp_path)
+
+
 def test_run_invalid_config_value_exits_1(tmp_path):
     cfg = write(tmp_path / "c.ini", "[spc]\nn_members = 0\n")
     assert main(["run", "--config", cfg, "--out", run_dir(tmp_path)]) == EXIT_CONFIG
@@ -354,6 +364,24 @@ def test_run_exits_3_when_every_voter_fails(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.splitlines()[-1].startswith(
         "numeric error: clustering failed for every ensemble member"
     )
+    assert not os.path.exists(out)
+    assert no_stage_leftovers(tmp_path)
+
+
+@pytest.mark.parametrize("stack", ["encoder", "decoder"])
+def test_run_exits_3_when_a_member_diverges(tmp_path, capsys, monkeypatch, stack):
+    build = pipeline.build_members
+
+    def poisoned(dataset, config):
+        members = build(dataset, config)
+        getattr(members[1], stack).weights[0][0, 0] = np.nan
+        return members
+
+    monkeypatch.setattr(pipeline, "build_members", poisoned)
+    cfg = write(tmp_path / "c.ini", SMALL_INI.replace("pretrain_epochs = 10", "pretrain_epochs = 0"))
+    out = run_dir(tmp_path)
+    assert main(["run", "--config", cfg, "--out", out]) == EXIT_NUMERIC
+    assert one_line_error(capsys, "numeric error: non-finite")
     assert not os.path.exists(out)
     assert no_stage_leftovers(tmp_path)
 
@@ -452,6 +480,20 @@ def test_run_idx_dataset_roundtrip(tmp_path):
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["dataset"]["source"] == "idx"
     assert manifest["dataset"]["n_clusters"] == 3
+
+
+def test_run_without_ground_truth_writes_no_scores(tmp_path):
+    images = three_class_idx(tmp_path)[:2]
+    cfg = write(tmp_path / "c.ini", SMALL_INI.split("[blobs]")[0] + "[idx]\nn_clusters = 3\n")
+    out = run_dir(tmp_path)
+    assert main(["run", "--config", cfg, "--dataset", "idx", *images, "--out", out]) == EXIT_OK
+    with open(os.path.join(out, "history.csv"), newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert rows and all(r["agreed_accuracy"] == r["overall_accuracy"] == "" for r in rows)
+    assert all(float(r["mean_loss"]) > 0 for r in rows)
+    metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
+    assert not {"accuracy", "nmi", "rand_index"} & set(metrics)
+    assert sum(metrics["cluster_sizes"].values()) == 30
 
 
 def test_run_idx_requires_images_flag(tmp_path):
@@ -715,6 +757,23 @@ def test_verify_theory_failure_after_staging_leaves_nothing(tmp_path, capsys, mo
     assert one_line_error(capsys, "data error: injected curve failure")
     assert not os.path.exists(out)
     assert no_stage_leftovers(tmp_path)
+
+
+def test_verify_theory_failed_claim_exits_4_with_both_artifacts(tmp_path, capsys, monkeypatch):
+    from spc.theory import TheoryReport
+
+    def failing_suite(**kwargs):
+        return TheoryReport(entropy={"passed": True}, lemma3={"passed": False})
+
+    monkeypatch.setattr(cli, "run_theory_suite", failing_suite)
+    out = run_dir(tmp_path)
+    assert main(["verify-theory", "--out", out]) == EXIT_CLAIM
+    lines = capsys.readouterr().out.splitlines()
+    assert "entropy: pass" in lines and "lemma3: FAIL" in lines
+    assert lines[-1].startswith("theory claim failure, see ")
+    report = json.loads((tmp_path / "out" / "theory_report.json").read_text())
+    assert report["all_passed"] is False
+    assert os.path.isfile(os.path.join(out, "entropy_curve.csv"))
 
 
 def test_verify_theory_existing_out_exits_1(tmp_path):

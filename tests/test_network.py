@@ -10,7 +10,7 @@ from spc.network import (
     load_member,
     save_member,
 )
-from spc.network import _activation_backward, _apply_activation
+from spc.network import _ACTIVATIONS
 from spc.pipeline import combined_loss
 
 
@@ -58,32 +58,32 @@ def rand_batch(rng, b=4, n=4):
 
 
 def test_init_deterministic_and_distinct():
-    m1 = AutoencoderMember(8, 3, 4, seed=11, hidden_widths=(5,))
-    m2 = AutoencoderMember(8, 3, 4, seed=11, hidden_widths=(5,))
+    m1 = AutoencoderMember(8, 3, 4, seed=11, noise_stddev=0.0, hidden_widths=(5,))
+    m2 = AutoencoderMember(8, 3, 4, seed=11, noise_stddev=0.0, hidden_widths=(5,))
     for a, b in zip(m1.encoder.weights, m2.encoder.weights):
         assert np.array_equal(a, b)
     for a, b in zip(m1.classifier.weights, m2.classifier.weights):
         assert np.array_equal(a, b)
-    m3 = AutoencoderMember(8, 3, 4, seed=12, hidden_widths=(5,))
+    m3 = AutoencoderMember(8, 3, 4, seed=12, noise_stddev=0.0, hidden_widths=(5,))
     assert any(
         not np.array_equal(a, b) for a, b in zip(m1.encoder.weights, m3.encoder.weights)
     )
 
 
 def test_init_fan_in_bounds():
-    m = AutoencoderMember(16, 4, 3, seed=0)
+    m = AutoencoderMember(16, 4, 3, seed=0, noise_stddev=0.0, hidden_widths=(256, 128))
     for mlp in (m.encoder, m.decoder, m.classifier):
         for w, fan_in in zip(mlp.weights, mlp.widths[:-1]):
             assert np.abs(w).max() <= 1.0 / np.sqrt(fan_in)
 
 
 def test_classifier_hidden_width_is_25():
-    m = AutoencoderMember(784, 50, 10, seed=0)
+    m = AutoencoderMember(784, 50, 10, seed=0, noise_stddev=0.0, hidden_widths=(256, 128))
     assert m.classifier.widths == [50, 25, 10]
 
 
 def test_default_encoder_widths():
-    m = AutoencoderMember(784, 50, 10, seed=0)
+    m = AutoencoderMember(784, 50, 10, seed=0, noise_stddev=0.0, hidden_widths=(256, 128))
     assert m.encoder.widths == [784, 256, 128, 50]
     assert m.decoder.widths == [50, 128, 256, 784]
 
@@ -104,8 +104,8 @@ def test_forward_loss_zero_noise_makes_train_mode_a_no_op():
     rng = np.random.default_rng(0)
     batch = rand_batch(rng)
     labels, flags = np.array([0, 2, 1, 1]), np.array([1, 0, 1, 0])
-    a = loss_and_grad_bits(m, batch, labels, flags, train_mode=True, noise_seed=5)
-    b = loss_and_grad_bits(m, batch, labels, flags, train_mode=False)
+    a = loss_and_grad_bits(m, batch, labels, flags, noise_seed=5)
+    b = loss_and_grad_bits(m, batch, labels, flags)
     assert a == b
 
 
@@ -121,11 +121,13 @@ def test_forward_loss_noise_seeded():
     rng = np.random.default_rng(2)
     batch = rand_batch(rng)
     labels, flags = np.array([0, 2, 1, 1]), np.array([1, 0, 1, 0])
-    a = loss_and_grad_bits(m, batch, labels, flags, train_mode=True, noise_seed=7)
-    b = loss_and_grad_bits(m, batch, labels, flags, train_mode=True, noise_seed=7)
-    c = loss_and_grad_bits(m, batch, labels, flags, train_mode=True, noise_seed=8)
+    a = loss_and_grad_bits(m, batch, labels, flags, noise_seed=7)
+    b = loss_and_grad_bits(m, batch, labels, flags, noise_seed=7)
+    c = loss_and_grad_bits(m, batch, labels, flags, noise_seed=8)
+    d = loss_and_grad_bits(m, batch, labels, flags)
     assert a == b
     assert a[0] != c[0] and a[1] != c[1]
+    assert a[0] != d[0] and a[1] != d[1]
 
 
 def test_forward_loss_rejects_a_batch_of_the_wrong_width():
@@ -164,7 +166,7 @@ def test_decode_range_and_tanh_oracle():
 
 
 def test_classify_probability_rows():
-    m = AutoencoderMember(6, 4, 5, seed=9, hidden_widths=(7,))
+    m = AutoencoderMember(6, 4, 5, seed=9, noise_stddev=0.0, hidden_widths=(7,))
     rng = np.random.default_rng(9)
     probs = m.classifier.forward(rng.standard_normal((20, 4)))
     assert probs.shape == (20, 5)
@@ -180,20 +182,16 @@ def test_softmax_uniform_and_shift_invariance():
     out = mlp.forward(np.zeros((3, 2)))
     assert np.allclose(out, 0.25, atol=1e-14)
     # shifting logits by a per-row constant leaves probabilities unchanged
-    from spc.network import _apply_activation
-
+    softmax, _ = _ACTIVATIONS["softmax"]
     z = rng.standard_normal((6, 4))
     shifted = z + rng.standard_normal((6, 1)) * 10
-    assert np.allclose(
-        _apply_activation(z, "softmax"), _apply_activation(shifted, "softmax"), atol=1e-12
-    )
+    assert np.allclose(softmax(z), softmax(shifted), atol=1e-12)
 
 
 def test_softmax_two_logit_oracle():
-    from spc.network import _apply_activation
-
+    softmax, _ = _ACTIVATIONS["softmax"]
     z = np.array([[np.log(1.0), np.log(3.0)]])
-    p = _apply_activation(z, "softmax")
+    p = softmax(z)
     assert np.allclose(p, [[0.25, 0.75]], atol=1e-12)
 
 
@@ -304,17 +302,12 @@ def test_branch_exclusivity():
 # ---- gradients ----
 
 
-def fd_check(member, batch, labels, flags, train_mode=False, noise_seed=0, recon_weight=1.0):
+def fd_check(member, batch, labels, flags, noise_seed=None, recon_weight=1.0):
     """Assert every analytic gradient matches central finite differences."""
 
     def loss():
         return member.forward_loss(
-            batch,
-            labels,
-            flags,
-            train_mode=train_mode,
-            noise_seed=noise_seed,
-            recon_weight=recon_weight,
+            batch, labels, flags, noise_seed=noise_seed, recon_weight=recon_weight
         )
 
     loss()
@@ -376,7 +369,7 @@ def test_backward_matches_finite_differences_with_noise():
     batch = rand_batch(rng, b=4)
     labels = np.array([1, 0, 2, 2])
     flags = np.array([0, 1, 0, 1])
-    fd_check(m, batch, labels, flags, train_mode=True, noise_seed=99)
+    fd_check(m, batch, labels, flags, noise_seed=99)
 
 
 def test_backward_matches_finite_differences_weighted():
@@ -525,7 +518,7 @@ def test_frozen_decoder_step_matches_full_step_without_decoder_update():
     frozen, full = small_member(seed=49, noise=0.2), small_member(seed=49, noise=0.2)
     decoder_before = params(frozen.decoder)
     for m in (frozen, full):
-        m.forward_loss(batch, labels, flags, train_mode=True, noise_seed=3)
+        m.forward_loss(batch, labels, flags, noise_seed=3)
     frozen.sgd_step(frozen.backward(0.05, train_decoder=False))
     upd = full.backward(0.05)
     full.sgd_step(GradientUpdate(upd.encoder_grads, None, upd.classifier_grads, 0.05))
@@ -568,9 +561,9 @@ def test_leaky_relu_matches_select_oracle_bitwise():
     special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-310, -1e-310])
     z = np.concatenate([special, rng.standard_normal(200) * 10])
     grid_z, grid_g = (a.reshape(-1) for a in np.meshgrid(z, z))
-    forward = _apply_activation(z, "leaky_relu")
-    assert forward.tobytes() == np.where(z > 0.0, z, 0.01 * z).tobytes()
-    backward = _activation_backward(grid_g, grid_z, None, "leaky_relu")
+    leaky_relu, leaky_relu_backward = _ACTIVATIONS["leaky_relu"]
+    assert leaky_relu(z).tobytes() == np.where(z > 0.0, z, 0.01 * z).tobytes()
+    backward = leaky_relu_backward(grid_g, grid_z, None)
     oracle = grid_g * np.where(grid_z > 0.0, 1.0, 0.01)
     assert backward.tobytes() == oracle.tobytes()
 
@@ -626,4 +619,35 @@ def test_load_member_rejects_garbage(tmp_path):
     path = tmp_path / "bad.npz"
     path.write_bytes(b"not a checkpoint")
     with pytest.raises(DataError):
+        load_member(path)
+
+
+def saved_state(tmp_path):
+    """The arrays of a saved small member's checkpoint, in file order."""
+    path = tmp_path / "member.npz"
+    save_member(path, small_member(seed=55))
+    with np.load(path) as data:
+        return dict(data)
+
+
+def test_checkpoint_keys_in_file_order(tmp_path):
+    state = saved_state(tmp_path)
+    layers = [f"{stack}_{p}{l}" for stack in ("encoder", "decoder") for l in range(2) for p in "wb"]
+    layers += [f"classifier_{p}{l}" for l in range(2) for p in "wb"]
+    assert list(state) == ["meta", "noise_stddev", "hidden_widths"] + layers
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("meta", np.array([2, 4, 3, 3, 55], dtype=np.uint64), "unsupported checkpoint version 2"),
+        ("encoder_w1", np.zeros((3, 5)), "checkpoint shape mismatch in encoder layer 1"),
+    ],
+)
+def test_load_member_rejects_a_foreign_checkpoint(tmp_path, key, value, message):
+    state = saved_state(tmp_path)
+    state[key] = value
+    path = tmp_path / "foreign.npz"
+    np.savez(path, **state)
+    with pytest.raises(DataError, match=message):
         load_member(path)

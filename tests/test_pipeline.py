@@ -107,13 +107,6 @@ def test_config_rejects_bad_fields(kw):
         SpcConfig(**kw)
 
 
-def test_effective_loop_rate_falls_back_to_learning_rate():
-    shared = SpcConfig(learning_rate=0.2, loop_learning_rate=None)
-    assert shared.effective_loop_rate == 0.2
-    split = SpcConfig(learning_rate=0.2, loop_learning_rate=0.05)
-    assert split.effective_loop_rate == 0.05
-
-
 def test_hidden_widths_coerced_to_int_tuple():
     cfg = SpcConfig(hidden_widths=[32.0, 16.0])
     assert cfg.hidden_widths == (32, 16)
@@ -215,12 +208,19 @@ def test_pretrain_does_not_touch_classifier():
         assert np.array_equal(a, b)
 
 
-def test_pretrain_rng_count_mismatch():
+def test_pretrain_returns_each_members_advanced_training_stream():
     ds = small_blobs()
-    cfg = small_config()
-    members = build_members(ds, cfg)
-    with pytest.raises(ConfigError):
-        pretrain(members, ds, cfg, rngs=[np.random.default_rng(0)])
+    cfg = small_config(pretrain_epochs=2)
+    rngs = pretrain(build_members(ds, cfg), ds, cfg)
+    assert len(rngs) == cfg.n_members
+    for j, rng in enumerate(rngs):
+        fresh = _member_streams(cfg, j)[1]
+        # each epoch draws one permutation, then one noise seed per batch
+        for _ in range(cfg.pretrain_epochs):
+            fresh.permutation(ds.n_points)
+            for _ in range(0, ds.n_points, cfg.batch_size):
+                fresh.integers(2**63)
+        assert rng.integers(2**63) == fresh.integers(2**63)
 
 
 def test_pretrain_rejects_unnormalized_points():
@@ -490,6 +490,33 @@ def test_spc_train_fails_when_every_voter_fails(monkeypatch):
     failing_cluster(monkeypatch, lambda latents, s: True)
     with pytest.raises(NumericError, match="every ensemble member"):
         spc_train(small_blobs(), small_config(concat_member=True))
+
+
+def poison_member(monkeypatch, stack):
+    """Make spc_train's member 1 start with one NaN weight in the given stack."""
+    build = pipeline.build_members
+
+    def poisoned(dataset, config):
+        members = build(dataset, config)
+        getattr(members[1], stack).weights[0][0, 0] = np.nan
+        return members
+
+    monkeypatch.setattr(pipeline, "build_members", poisoned)
+
+
+# one diverged member ends the run (ROADMAP item 3 would drop it instead):
+# a NaN encoder weight trips encode's check, a NaN decoder weight the heads'
+DIVERGED = [
+    ("encoder", "non-finite encoder activations"),
+    ("decoder", "non-finite activations in forward pass"),
+]
+
+
+@pytest.mark.parametrize("stack, message", DIVERGED)
+def test_spc_train_raises_when_a_member_diverges(monkeypatch, stack, message):
+    poison_member(monkeypatch, stack)
+    with pytest.raises(NumericError, match=message):
+        spc_train(small_blobs(), small_config(pretrain_epochs=0))
 
 
 @pytest.fixture
