@@ -165,24 +165,24 @@ def _kmeanspp_seed(x: np.ndarray, C: int, rng: np.random.Generator) -> np.ndarra
 
 
 def _lloyd(x: np.ndarray, C: int, rng: np.random.Generator):
-    """One k-means++ seeded Lloyd run to an assignment fixpoint.
+    """One k-means++ seeded Lloyd run to an assignment fixpoint or KMEANS_MAX_ITERS.
 
-    Returns (trace, centroids, assign); trace holds the inertia after each
-    assignment step, so trace[-1] is that of the returned assignment.  Each
-    step assigns through _nearest (the GEMM expansion with every near tie
-    recomputed exactly), takes each point's own distance with the direct
-    formula and updates the centroids from one bincount, so labels, inertias
-    and centroids equal those of the direct per-pair, per-cluster formulas
-    bit for bit.
+    Returns (inertia, centroids, assign).  The inertia pairs the final
+    assignment with the centroids that produced it, which at the
+    KMEANS_MAX_ITERS exit are those before the last update.  Each step
+    assigns through _nearest (the GEMM expansion with every near tie
+    recomputed exactly) and updates the centroids from one bincount; the
+    inertia sums each point's own distance by the direct formula.  So
+    labels, inertia and centroids equal those of the direct per-pair,
+    per-cluster formulas bit for bit.
     """
     N = x.shape[0]
     with np.errstate(over="ignore"):
         xx = (x * x).sum(axis=1)
     centroids = _kmeanspp_seed(x, C, rng)
     prev = None
-    assign = None
-    trace = []
     for _ in range(KMEANS_MAX_ITERS):
+        used = centroids
         assign = _nearest(x, xx, centroids)
         counts = np.bincount(assign, minlength=C)
         if not counts.all():
@@ -197,14 +197,13 @@ def _lloyd(x: np.ndarray, C: int, rng: np.random.Generator):
                     assign = d2.argmin(axis=1)
                     own = d2[np.arange(N), assign]
             counts = np.bincount(assign, minlength=C)
-        own = ((x - centroids.take(assign, axis=0)) ** 2).sum(axis=1)
-        trace.append(float(own.sum()))
         if prev is not None and (assign == prev).all():
             break
         prev = assign
         # a cluster emptied by a later reseed keeps its centroid
-        _cluster_means(x, assign, counts, out=centroids)
-    return trace, centroids, assign
+        centroids = _cluster_means(x, assign, counts, out=centroids.copy())
+    own = ((x - used.take(assign, axis=0)) ** 2).sum(axis=1)
+    return float(own.sum()), centroids, assign
 
 
 def _checked_latents(latents: np.ndarray, C: int) -> np.ndarray:
@@ -233,9 +232,9 @@ def kmeans_fit(latents: np.ndarray, C: int, seed: int):
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(KMEANS_N_INIT):
-        trace, centroids, assign = _lloyd(x, C, rng)
-        if best is None or trace[-1] < best[0]:
-            best = (trace[-1], centroids, assign)
+        inertia, centroids, assign = _lloyd(x, C, rng)
+        if best is None or inertia < best[0]:
+            best = (inertia, centroids, assign)
     return best[1], Labelling(labels=best[2], n_clusters=C)
 
 

@@ -16,8 +16,6 @@ central finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DataError, NumericError, SpcError
@@ -118,28 +116,6 @@ class Mlp:
                 grads[l] = (gz.T @ x_in, gz.sum(axis=0))
             g = gz @ self.weights[l] if l > 0 or input_grad else None
         return grads, g
-
-
-@dataclass
-class GradientUpdate:
-    """Per-parameter gradients for one member, plus the step size to apply.
-
-    A stack whose gradients are None gets no step: the decoder when it is
-    frozen, the classifier when no point of the batch is agreed.
-    """
-
-    encoder_grads: list
-    decoder_grads: list | None
-    classifier_grads: list | None
-    learning_rate: float
-
-    def __post_init__(self):
-        if not self.learning_rate >= 0:
-            raise SpcError("learning_rate must be non-negative")
-        for grads in (self.encoder_grads, self.decoder_grads or [], self.classifier_grads or []):
-            for dw, db in grads:
-                if not (np.isfinite(dw).all() and np.isfinite(db).all()):
-                    raise NumericError("non-finite gradient entries")
 
 
 class AutoencoderMember:
@@ -287,13 +263,14 @@ class AutoencoderMember:
         }
         return loss
 
-    def backward(self, learning_rate: float = 1e-3, train_decoder: bool = True) -> GradientUpdate:
-        """Exact gradients of the last forward_loss w.r.t. every parameter.
+    def backward(self, train_decoder: bool = True) -> list:
+        """Exact gradients of the last forward_loss, as (mlp, [(dW, db) per layer]) pairs.
 
-        train_decoder=False computes no decoder gradients (decoder_grads is
-        None), so sgd_step leaves the decoder as it is.  When no point of the
-        batch is agreed the classifier gradients are exactly zero; the
-        classifier backward is skipped and classifier_grads is None too.
+        One pair per stack that steps: the encoder always, the decoder
+        unless train_decoder is False, and the classifier only when some
+        point of the batch is agreed (otherwise its gradient is exactly
+        zero and its backward is skipped).  Raises NumericError when any
+        gradient entry is not finite.
         """
         if self._cache is None:
             raise SpcError("backward requires a cached forward pass; call forward_loss first")
@@ -322,25 +299,20 @@ class AutoencoderMember:
 
         # additive noise has zero jacobian w.r.t. parameters: gradients pass through
         enc_grads, _ = self.encoder.backward(c["enc_cache"], grad_latent, input_grad=False)
-        return GradientUpdate(enc_grads, dec_grads, cls_grads, learning_rate)
+        stacks = (self.encoder, self.decoder, self.classifier)
+        grads = [(mlp, g) for mlp, g in zip(stacks, (enc_grads, dec_grads, cls_grads)) if g]
+        for _, layers in grads:
+            for dw, db in layers:
+                if not (np.isfinite(dw).all() and np.isfinite(db).all()):
+                    raise NumericError("non-finite gradient entries")
+        return grads
 
-    def sgd_step(self, update: GradientUpdate) -> None:
-        """theta <- theta - eta * grad, in place. Invalidates the forward cache."""
-        eta = update.learning_rate
-        for mlp, grads in (
-            (self.encoder, update.encoder_grads),
-            (self.decoder, update.decoder_grads),
-            (self.classifier, update.classifier_grads),
-        ):
-            if grads is None:
-                continue
-            if len(grads) != mlp.n_layers:
-                raise SpcError("gradient layer count does not match member")
-            for l, (dw, db) in enumerate(grads):
-                if dw.shape != mlp.weights[l].shape or db.shape != mlp.biases[l].shape:
-                    raise SpcError("gradient shapes do not match member parameters")
-                mlp.weights[l] -= eta * dw
-                mlp.biases[l] -= eta * db
+    def sgd_step(self, grads: list, learning_rate: float) -> None:
+        """theta <- theta - eta * grad for each of backward's pairs, in place; clears the cache."""
+        for mlp, layers in grads:
+            for l, (dw, db) in enumerate(layers):
+                mlp.weights[l] -= learning_rate * dw
+                mlp.biases[l] -= learning_rate * db
         self._cache = None
 
 
@@ -383,14 +355,17 @@ def load_member(path) -> AutoencoderMember:
             meta = np.asarray(state["meta"], dtype=np.uint64)
             if meta[0] != CHECKPOINT_VERSION:
                 raise DataError(f"unsupported checkpoint version {meta[0]}")
-            member = AutoencoderMember(
-                int(meta[1]),
-                int(meta[2]),
-                int(meta[3]),
-                int(meta[4]),
-                noise_stddev=float(state["noise_stddev"]),
-                hidden_widths=tuple(int(w) for w in state["hidden_widths"]),
-            )
+            try:
+                member = AutoencoderMember(
+                    int(meta[1]),
+                    int(meta[2]),
+                    int(meta[3]),
+                    int(meta[4]),
+                    noise_stddev=float(state["noise_stddev"]),
+                    hidden_widths=tuple(int(w) for w in state["hidden_widths"]),
+                )
+            except SpcError as exc:
+                raise DataError(f"checkpoint header out of range: {exc}") from exc
             for name in _STACKS:
                 mlp = getattr(member, name)
                 for l in range(mlp.n_layers):

@@ -4,10 +4,12 @@ The driver pretrains K independent autoencoders on l1 reconstruction, then
 iterates: encode every point without noise, cluster each member's latents,
 align the labellings and form a consensus with unanimity flags, and train
 each member selectively (cross-entropy against the consensus label on agreed
-points, reconstruction on the rest, decoder frozen).  The loop stops once
+points, reconstruction on the rest, decoder frozen).  The loop stops when
 the number of agreed points has gone plateau_patience consecutive iterations
-without a strict improvement, and the last consensus becomes the final
-labelling.
+without a strict improvement or after max_iterations, whichever comes first,
+and the last consensus becomes the final labelling.  The canonical run (every
+default) stops at max_iterations = 12 with agreement still rising, from 427
+to 566 of 800 points.
 """
 
 from __future__ import annotations
@@ -260,7 +262,7 @@ def train_epoch(
         member.forward_loss(
             points[idx], labels[idx], flags[idx], noise_seed=noise_seed, recon_weight=config.recon_weight
         )
-        member.sgd_step(member.backward(learning_rate, train_decoder=not freeze_decoder))
+        member.sgd_step(member.backward(train_decoder=not freeze_decoder), learning_rate)
 
 
 def pretrain(members: list, dataset: Dataset, config: SpcConfig, workers: int | None = None) -> list:

@@ -76,17 +76,6 @@ def test_kmeans_beats_random_assignments():
         assert fitted <= rand_inertia + 1e-9
 
 
-def test_kmeans_inertia_non_increasing():
-    for s in range(20):
-        rng = np.random.default_rng(s)
-        x = rng.standard_normal((80, 5))
-        trace, centroids, assign = clustering._lloyd(x, 4, np.random.default_rng(s))
-        assert len(trace) >= 1
-        assert trace[-1] == pytest.approx(((x - centroids[assign]) ** 2).sum(), rel=1e-12)
-        for a, b in zip(trace, trace[1:]):
-            assert b <= a + 1e-9
-
-
 def spy_on_nearest(monkeypatch):
     """Record (centroids, assignment) of every assignment step of _lloyd."""
     seen = []
@@ -101,18 +90,52 @@ def spy_on_nearest(monkeypatch):
     return seen
 
 
+def step_inertia(x, centroids, assign):
+    """The exact inertia of one (centroids, assignment) pair, by the direct formula."""
+    return clustering._sq_dists(x, centroids)[np.arange(len(x)), assign].sum()
+
+
+def test_kmeans_inertia_non_increasing(monkeypatch):
+    seen = spy_on_nearest(monkeypatch)
+    for s in range(20):
+        rng = np.random.default_rng(s)
+        x = rng.standard_normal((80, 5))
+        seen.clear()
+        inertia, centroids, assign = clustering._lloyd(x, 4, np.random.default_rng(s))
+        assert inertia == pytest.approx(((x - centroids[assign]) ** 2).sum(), rel=1e-12)
+        steps = [step_inertia(x, c, a) for c, a in seen] + [inertia]
+        for a, b in zip(steps, steps[1:]):
+            assert b <= a + 1e-9
+
+
 def test_kmeans_trace_is_exact_inertia_bitwise(monkeypatch):
     seen = spy_on_nearest(monkeypatch)
     for s in range(10):
         rng = np.random.default_rng(s)
         x = rng.standard_normal((120, 6)) * 10.0 ** rng.integers(-3, 4)
         seen.clear()
-        trace, _, _ = clustering._lloyd(x, 5, np.random.default_rng(s))
-        # no empty cluster, so each step's labels are _nearest's
-        assert len(trace) == len(seen)
-        for entry, (centroids, assign) in zip(trace, seen):
-            exact = clustering._sq_dists(x, centroids)[np.arange(len(x)), assign].sum()
-            assert np.float64(entry).tobytes() == exact.tobytes()
+        inertia, centroids, assign = clustering._lloyd(x, 5, np.random.default_rng(s))
+        # no empty cluster, so the last step's labels are _nearest's and, at
+        # the fixpoint, its centroids are the returned ones
+        last_centroids, last_assign = seen[-1]
+        assert np.array_equal(assign, last_assign)
+        assert centroids.tobytes() == last_centroids.tobytes()
+        assert np.float64(inertia).tobytes() == step_inertia(x, *seen[-1]).tobytes()
+
+
+def test_lloyd_at_the_iteration_cap_pairs_inertia_with_the_last_assigning_centroids(monkeypatch):
+    monkeypatch.setattr(clustering, "KMEANS_MAX_ITERS", 2)
+    seen = spy_on_nearest(monkeypatch)
+    x = np.random.default_rng(3).standard_normal((300, 4))
+    inertia, centroids, assign = clustering._lloyd(x, 6, np.random.default_rng(3))
+    assert len(seen) == 2
+    (_, first), (last_centroids, last_assign) = seen
+    assert not np.array_equal(first, last_assign)  # stopped by the cap, not at a fixpoint
+    assert np.array_equal(assign, last_assign)
+    assert np.float64(inertia).tobytes() == step_inertia(x, last_centroids, last_assign).tobytes()
+    counts = np.bincount(last_assign, minlength=6)
+    means = clustering._cluster_means(x, last_assign, counts, out=last_centroids.copy())
+    assert centroids.tobytes() == means.tobytes()
 
 
 def grid_with_symmetric_centroids(rng, n, m, C, offset, scale):

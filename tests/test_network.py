@@ -5,7 +5,6 @@ from spc.errors import DataError, NumericError, SpcError
 from spc.network import (
     CE_CLAMP,
     AutoencoderMember,
-    GradientUpdate,
     Mlp,
     load_member,
     save_member,
@@ -94,9 +93,8 @@ def test_default_encoder_widths():
 def loss_and_grad_bits(member, batch, labels, flags, **kw):
     """(loss, bytes of every gradient) of one forward_loss and backward."""
     loss = member.forward_loss(batch, labels, flags, **kw)
-    upd = member.backward()
-    stacks = (upd.encoder_grads, upd.decoder_grads, upd.classifier_grads)
-    return loss, [a.tobytes() for grads in stacks for dw_db in grads for a in dw_db]
+    stacks = member.backward()
+    return loss, [a.tobytes() for _, grads in stacks for dw_db in grads for a in dw_db]
 
 
 def test_forward_loss_zero_noise_makes_train_mode_a_no_op():
@@ -311,15 +309,11 @@ def fd_check(member, batch, labels, flags, noise_seed=None, recon_weight=1.0):
         )
 
     loss()
-    upd = member.backward(learning_rate=0.0)
+    stepped = dict(member.backward())
     step = 1e-5
-    for mlp, grads in (
-        (member.encoder, upd.encoder_grads),
-        (member.decoder, upd.decoder_grads),
-        (member.classifier, upd.classifier_grads),
-    ):
-        if grads is None:  # a stack with no gradient has exactly zero gradient
-            grads = zero_grads(mlp)
+    for mlp in (member.encoder, member.decoder, member.classifier):
+        # a stack that does not step has exactly zero gradient
+        grads = stepped.get(mlp) or zero_grads(mlp)
         for l in range(mlp.n_layers):
             for arr, g in ((mlp.weights[l], grads[l][0]), (mlp.biases[l], grads[l][1])):
                 flat = arr.reshape(-1)
@@ -398,8 +392,9 @@ def test_zero_loss_configuration_zero_gradients():
     flags = np.array([1, 0, 1])
     loss = m.forward_loss(batch, labels, flags)
     assert loss == pytest.approx(0.0, abs=1e-12)
-    upd = m.backward()
-    for grads in (upd.encoder_grads, upd.decoder_grads, upd.classifier_grads):
+    stacks = m.backward()
+    assert [mlp for mlp, _ in stacks] == [m.encoder, m.decoder, m.classifier]
+    for _, grads in stacks:
         for dw, db in grads:
             assert np.abs(dw).max() < 1e-9
             assert np.abs(db).max() < 1e-9
@@ -412,12 +407,12 @@ def test_duplicated_batch_same_gradients():
     labels = np.array([0, 1, 2])
     flags = np.array([1, 0, 1])
     m.forward_loss(batch, labels, flags)
-    u1 = m.backward()
+    u1 = dict(m.backward())
     m.forward_loss(
         np.repeat(batch, 2, axis=0), np.repeat(labels, 2), np.repeat(flags, 2)
     )
-    u2 = m.backward()
-    for g1, g2 in zip(u1.encoder_grads, u2.encoder_grads):
+    u2 = dict(m.backward())
+    for g1, g2 in zip(u1[m.encoder], u2[m.encoder]):
         assert np.allclose(g1[0], g2[0], atol=1e-12)
         assert np.allclose(g1[1], g2[1], atol=1e-12)
 
@@ -433,7 +428,7 @@ def test_sgd_step_invalidates_cache():
     m = small_member(seed=43)
     batch = rand_batch(rng, b=2)
     m.forward_loss(batch, np.zeros(2, dtype=int), np.zeros(2, dtype=int))
-    m.sgd_step(m.backward(learning_rate=1e-3))
+    m.sgd_step(m.backward(), 1e-3)
     with pytest.raises(SpcError, match="forward"):
         m.backward()
 
@@ -447,7 +442,7 @@ def test_sgd_zero_rate_no_change():
     before = [w.copy() for w in m.encoder.weights]
     batch = rand_batch(rng, b=2)
     m.forward_loss(batch, np.zeros(2, dtype=int), np.zeros(2, dtype=int))
-    m.sgd_step(m.backward(learning_rate=0.0))
+    m.sgd_step(m.backward(), 0.0)
     for a, b in zip(before, m.encoder.weights):
         assert np.array_equal(a, b)
 
@@ -457,8 +452,7 @@ def test_sgd_scalar_arithmetic():
     m.encoder.weights[0][0, 0] = 1.0
     grads = zero_grads(m.encoder)
     grads[0][0][0, 0] = 2.0
-    upd = GradientUpdate(grads, zero_grads(m.decoder), zero_grads(m.classifier), 0.1)
-    m.sgd_step(upd)
+    m.sgd_step([(m.encoder, grads)], 0.1)
     assert m.encoder.weights[0][0, 0] == pytest.approx(0.8, abs=1e-15)
 
 
@@ -472,21 +466,22 @@ def test_sgd_descends_on_smooth_batch():
         labels = rng.integers(0, 3, size=6)
         flags = rng.integers(0, 2, size=6)
         before = m.forward_loss(batch, labels, flags)
-        m.sgd_step(m.backward(learning_rate=1e-3))
+        m.sgd_step(m.backward(), 1e-3)
         after = m.forward_loss(batch, labels, flags)
         if after <= before:
             decreased += 1
     assert decreased >= 95
 
 
-def test_gradient_update_rejects_non_finite():
+def test_backward_rejects_non_finite_gradients():
+    # an infinite reconstruction weight leaves every activation finite, so
+    # forward_loss passes its checks and backward meets the infinity first
+    rng = np.random.default_rng(30)
     m = small_member(seed=46)
-    grads = zero_grads(m.encoder)
-    grads[0][0][0, 0] = np.nan
-    with pytest.raises(NumericError):
-        GradientUpdate(grads, zero_grads(m.decoder), zero_grads(m.classifier), 0.1)
-    with pytest.raises(NumericError):
-        GradientUpdate(zero_grads(m.encoder), None, grads, 0.1)
+    batch = rand_batch(rng, b=3)
+    m.forward_loss(batch, np.array([0, 2, 1]), np.array([1, 0, 0]), recon_weight=np.inf)
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="non-finite gradient"):
+        m.backward()
 
 
 def test_frozen_decoder_backward_skips_decoder_only():
@@ -494,10 +489,11 @@ def test_frozen_decoder_backward_skips_decoder_only():
     m = small_member(seed=47)
     batch = rand_batch(rng, b=4)
     m.forward_loss(batch, np.zeros(4, dtype=int), np.zeros(4, dtype=int))
-    upd = m.backward()
+    full = m.backward()
     frozen = m.backward(train_decoder=False)
-    assert frozen.decoder_grads is None
-    for g1, g2 in zip(upd.encoder_grads, frozen.encoder_grads):
+    assert [mlp for mlp, _ in full] == [m.encoder, m.decoder]
+    assert [mlp for mlp, _ in frozen] == [m.encoder]
+    for g1, g2 in zip(full[0][1], frozen[0][1]):
         assert np.array_equal(g1[0], g2[0])
         assert np.array_equal(g1[1], g2[1])
 
@@ -519,9 +515,8 @@ def test_frozen_decoder_step_matches_full_step_without_decoder_update():
     decoder_before = params(frozen.decoder)
     for m in (frozen, full):
         m.forward_loss(batch, labels, flags, noise_seed=3)
-    frozen.sgd_step(frozen.backward(0.05, train_decoder=False))
-    upd = full.backward(0.05)
-    full.sgd_step(GradientUpdate(upd.encoder_grads, None, upd.classifier_grads, 0.05))
+    frozen.sgd_step(frozen.backward(train_decoder=False), 0.05)
+    full.sgd_step([(mlp, g) for mlp, g in full.backward() if mlp is not full.decoder], 0.05)
     assert same_bits(params(frozen.decoder), decoder_before)
     assert same_bits(params(frozen.decoder), params(full.decoder))
     assert same_bits(params(frozen.encoder), params(full.encoder))
@@ -535,14 +530,14 @@ def test_step_without_agreed_points_leaves_classifier_untouched(train_decoder):
     before = params(m.classifier)
     batch = rand_batch(rng, b=5)
     m.forward_loss(batch, rng.integers(0, 3, size=5), np.zeros(5, dtype=int))
-    upd = m.backward(0.1, train_decoder=train_decoder)
-    assert upd.classifier_grads is None
-    m.sgd_step(upd)
+    grads = m.backward(train_decoder=train_decoder)
+    assert m.classifier not in [mlp for mlp, _ in grads]
+    m.sgd_step(grads, 0.1)
     assert same_bits(params(m.classifier), before)
 
 
 def test_zero_gradient_step_equals_no_step_bitwise():
-    # backward returns None in place of an exactly-zero classifier gradient;
+    # backward leaves out an exactly-zero classifier gradient;
     # w - eta * 0.0 == w bit for bit, signed zeros, infinities and NaN included
     special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-310, -1e-310, 3.5])
     for eta in (0.0, 1e-3, 0.3, 1e300):
@@ -550,9 +545,8 @@ def test_zero_gradient_step_equals_no_step_bitwise():
         for m in (stepped, skipped):
             m.classifier.weights[0].reshape(-1)[: special.size] = special
             m.classifier.biases[0][: special.size] = special
-        enc = zero_grads(stepped.encoder)
-        stepped.sgd_step(GradientUpdate(enc, None, zero_grads(stepped.classifier), eta))
-        skipped.sgd_step(GradientUpdate(enc, None, None, eta))
+        stepped.sgd_step([(stepped.classifier, zero_grads(stepped.classifier))], eta)
+        skipped.sgd_step([], eta)
         assert same_bits(params(stepped.classifier), params(skipped.classifier))
 
 
@@ -579,7 +573,7 @@ def test_latent_loss_equals_forward_loss_and_caches_nothing():
             assert m.latent_loss(z, batch, labels, flags, 0.7) == m.forward_loss(
                 batch, labels, flags, recon_weight=0.7
             )
-            m.sgd_step(m.backward(0.0))
+            m.sgd_step(m.backward(), 0.0)
         expect = sum(m.latent_loss(z, batch, labels, flags, 0.7) for m, z in zip(members, latents))
         for workers in (1, 3):
             assert combined_loss(members, latents, batch, labels, flags, 0.7, workers) == expect
@@ -600,7 +594,7 @@ def test_member_checkpoint_roundtrip_bitwise(tmp_path):
     m = small_member(seed=48, noise=0.3)
     batch = rand_batch(rng, b=4)
     m.forward_loss(batch, np.zeros(4, dtype=int), np.zeros(4, dtype=int))
-    m.sgd_step(m.backward(learning_rate=1e-2))
+    m.sgd_step(m.backward(), 1e-2)
     path = tmp_path / "member.npz"
     save_member(path, m)
     m2 = load_member(path)
@@ -642,6 +636,8 @@ def test_checkpoint_keys_in_file_order(tmp_path):
     [
         ("meta", np.array([2, 4, 3, 3, 55], dtype=np.uint64), "unsupported checkpoint version 2"),
         ("encoder_w1", np.zeros((3, 5)), "checkpoint shape mismatch in encoder layer 1"),
+        ("noise_stddev", np.array(-1.0), "out of range: noise_stddev must be non-negative"),
+        ("hidden_widths", np.array([0]), "out of range: need >= 2 positive layer widths"),
     ],
 )
 def test_load_member_rejects_a_foreign_checkpoint(tmp_path, key, value, message):
