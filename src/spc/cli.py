@@ -12,10 +12,11 @@ failure, 4 theory claim failure.
 The config file is INI-style with optional sections [spc], [blobs], [idx]
 and [theory]; every key has a default, so an empty file (or no --config at
 all) runs the canonical blob experiment.  Every command checks every
-section, including those it does not read.  Runs are staged in a hidden
-temporary directory and renamed into place only on success, so an output
-directory either exists completely or not at all.  Metrics are written with
-sorted keys and floats at 10 significant digits to keep reruns diffable.
+section, including those it does not read: keys, types and value ranges.
+Runs are staged in a hidden temporary directory and renamed into place only
+on success, so an output directory either exists completely or not at all.
+Metrics are written with sorted keys and floats at 10 significant digits to
+keep reruns diffable, and no JSON output holds a NaN or an infinity.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .data import BlobSpec, load_idx, make_blobs, normalize
 from .errors import ConfigError, DataError, NumericError, SpcError
 from .network import save_member
 from .pipeline import SpcConfig, spc_train
-from .theory import constant_point, default_samplers, entropy_grid, run_theory_suite
+from .theory import DEFAULT_SAMPLERS, build_samplers, check_settings, entropy_grid, run_theory_suite
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -63,7 +64,7 @@ DEFAULTS = {
         if name != "samplers"
     },
 }
-DEFAULTS["theory"]["samplers"] = ",".join(default_samplers(DEFAULTS["theory"]["dim"]))
+DEFAULTS["theory"]["samplers"] = DEFAULT_SAMPLERS
 
 
 # ---- config parsing -------------------------------------------------------
@@ -74,7 +75,8 @@ def read_config(path: str | None) -> dict:
 
     None reads as an empty file.  Every section is checked, whichever command
     reads it: an unknown section or key, or a value of the wrong type, is a
-    ConfigError.
+    ConfigError, and an out-of-range value is the error of the section's
+    owner (see ``_check_ranges``).
     """
     raw = {}
     if path is not None:
@@ -93,7 +95,22 @@ def read_config(path: str | None) -> dict:
                     f"unknown config section [{section}]; expected one of {tuple(DEFAULTS)}"
                 )
         raw = {s: dict(parser.items(s)) for s in parser.sections()}
-    return {name: coerce_section(name, raw.get(name, {}), d) for name, d in DEFAULTS.items()}
+    sections = {name: coerce_section(name, raw.get(name, {}), d) for name, d in DEFAULTS.items()}
+    _check_ranges(sections)
+    return sections
+
+
+def _check_ranges(sections: dict) -> None:
+    """Range-check each section through its one owner, in DEFAULTS order.
+
+    The first bad value decides the error, and so the exit code.
+    """
+    SpcConfig(**sections["spc"])  # ConfigError
+    BlobSpec(**sections["blobs"])  # DataError
+    n_clusters = sections["idx"]["n_clusters"]
+    if n_clusters != 0 and n_clusters < 2:
+        raise DataError(f"n_clusters must be >= 2, or 0 to count the labels; got {n_clusters}")
+    check_settings(**sections["theory"])  # ConfigError
 
 
 def _parse_value(section: str, key: str, text: str, default):
@@ -113,7 +130,7 @@ def _parse_value(section: str, key: str, text: str, default):
             parts = text.replace(",", " ").split()
             if not parts:
                 raise ValueError("empty list")
-            return tuple(int(p) for p in parts)
+            return tuple(type(default[0])(p) for p in parts)
         return text
     except ValueError as exc:
         raise ConfigError(f"bad value for {key} in [{section}]: {exc}") from exc
@@ -151,8 +168,12 @@ def _round_floats(obj):
     return obj
 
 
-def json_text(obj) -> str:
-    return json.dumps(_round_floats(obj), sort_keys=True, indent=2) + "\n"
+def json_text(obj, artifact: str) -> str:
+    """``obj`` as strict JSON; NumericError, naming ``artifact``, for a NaN or an infinity."""
+    try:
+        return json.dumps(_round_floats(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericError(f"{artifact} would hold a non-finite number: {exc}") from exc
 
 
 # ---- staged output directories --------------------------------------------
@@ -269,7 +290,7 @@ def cmd_run(args) -> int:
             truth = Labelling(labels=dataset.labels, n_clusters=dataset.n_clusters)
             metrics.update(evaluate(final, truth))
         with open(os.path.join(stage, "metrics.json"), "w") as f:
-            f.write(json_text(metrics))
+            f.write(json_text(metrics, "metrics.json"))
 
         os.makedirs(os.path.join(stage, "members"))
         member_paths = []
@@ -294,7 +315,7 @@ def cmd_run(args) -> int:
             "timings": {"train_seconds": train_seconds},
         }
         with open(os.path.join(stage, "manifest.json"), "w") as f:
-            f.write(json_text(manifest))
+            f.write(json_text(manifest, "manifest.json"))
 
         _finalize(
             stage,
@@ -356,22 +377,12 @@ def cmd_eval(args) -> int:
     ranked = Labelling(labels=np.searchsorted(ids, predicted), n_clusters=ids.size)
     scores = evaluate(ranked, Labelling(labels=np.searchsorted(ids, truth), n_clusters=ids.size))
     sizes = {int(ids[rank]): size for rank, size in cluster_size_report(ranked).items()}
-    print(json_text({**scores, "cluster_sizes": sizes, "n_points": int(truth.shape[0])}), end="")
+    report = {**scores, "cluster_sizes": sizes, "n_points": int(truth.shape[0])}
+    print(json_text(report, "the eval report"), end="")
     return EXIT_OK
 
 
 # ---- verify-theory --------------------------------------------------------
-
-
-def _make_samplers(names: list, dim: int) -> dict:
-    pool = default_samplers(dim)
-    pool["constant_point"] = constant_point(np.full(dim, 0.5))
-    unknown = [n for n in names if n not in pool]
-    if unknown:
-        raise ConfigError(f"unknown samplers {unknown}; expected a subset of {sorted(pool)}")
-    if not names:
-        raise ConfigError("sampler list is empty")
-    return {name: pool[name] for name in names}
 
 
 def _write_entropy_curve(path: str) -> None:
@@ -387,12 +398,14 @@ def cmd_verify_theory(args) -> int:
     th = read_config(args.config)["theory"]
     if args.seed is not None:
         th["seed"] = args.seed
-    names = th.pop("samplers").replace(",", " ").split()
-    report = run_theory_suite(**th, samplers=_make_samplers(names, th["dim"]))
+    samplers = build_samplers(th.pop("samplers"), th["dim"])
+    # an overflow shows up as a non-finite report value, which json_text refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = run_theory_suite(**th, samplers=samplers)
 
     with _staged(args.out) as (out, stage):
         with open(os.path.join(stage, "theory_report.json"), "w") as f:
-            f.write(json_text(report.to_json_dict()))
+            f.write(json_text(report.to_json_dict(), "theory_report.json"))
         _write_entropy_curve(os.path.join(stage, "entropy_curve.csv"))
         _finalize(stage, out, ["theory_report.json", "entropy_curve.csv"])
 

@@ -206,17 +206,6 @@ def _lloyd(x: np.ndarray, C: int, rng: np.random.Generator):
     return float(own.sum()), centroids, assign
 
 
-def _checked_latents(latents: np.ndarray, C: int) -> np.ndarray:
-    x = np.asarray(latents, dtype=np.float64)
-    if x.ndim != 2:
-        raise DataError(f"latents must be 2-d, got shape {x.shape}")
-    if x.shape[0] < C:
-        raise DataError(f"need at least {C} points, got {x.shape[0]}")
-    if not np.isfinite(x).all():
-        raise DataError("latents hold NaN or inf")
-    return x
-
-
 def kmeans_fit(latents: np.ndarray, C: int, seed: int):
     """Lloyd's algorithm, best of KMEANS_N_INIT k-means++ seeded restarts.
 
@@ -226,9 +215,10 @@ def kmeans_fit(latents: np.ndarray, C: int, seed: int):
     farthest from its own centroid, which strictly lowers inertia.
     Assignment uses the GEMM expansion and recomputes every near tie with
     the direct formula, so labels equal those of the direct squared
-    distances bit for bit and BLAS never decides a label.
+    distances bit for bit and BLAS never decides a label.  The latents must
+    be finite and at least C, as every member's encoding of a Dataset is.
     """
-    x = _checked_latents(latents, C)
+    x = np.asarray(latents, dtype=np.float64)
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(KMEANS_N_INIT):
@@ -257,7 +247,7 @@ def gmm_fit(latents: np.ndarray, C: int, seed: int) -> GmmModel:
     GMM_MAX_ITERS EM steps.  Variances are floored at GMM_REG_EPSILON at
     initialization and in every M step.
     """
-    x = _checked_latents(latents, C)
+    x = np.asarray(latents, dtype=np.float64)
     N, m = x.shape
 
     centroids, labelling = kmeans_fit(x, C, seed)
@@ -299,10 +289,5 @@ def gmm_fit(latents: np.ndarray, C: int, seed: int) -> GmmModel:
 def gmm_predict(model: GmmModel, latents: np.ndarray) -> Labelling:
     """Hard assignment by maximum responsibility; ties go to the lowest id."""
     x = np.asarray(latents, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.means.shape[1]:
-        raise DataError(
-            f"latents of dim {x.shape[1] if x.ndim == 2 else '?'} do not match "
-            f"model dim {model.means.shape[1]}"
-        )
     log_joint = _log_prob(x, model.weights, model.means, model.covariances)
     return Labelling(labels=log_joint.argmax(axis=1), n_clusters=model.n_components)

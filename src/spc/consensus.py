@@ -64,7 +64,7 @@ def _solve_assignment(cost: np.ndarray):
 
 
 def hungarian(cost: np.ndarray) -> np.ndarray:
-    """Permutation perm minimizing sum_r cost[r, perm[r]].
+    """Permutation perm minimizing sum_r cost[r, perm[r]] over a square, finite cost.
 
     On integer-valued costs the result is the lexicographically smallest
     optimal permutation; on other costs it is optimal up to rounding.
@@ -80,10 +80,6 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
     breadth-first search is applied to the matching.
     """
     cost = np.asarray(cost, dtype=np.float64)
-    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
-        raise DataError(f"cost matrix must be square, got shape {cost.shape}")
-    if not np.isfinite(cost).all():
-        raise DataError("cost matrix must be finite")
     n = cost.shape[0]
     perm, u, v = _solve_assignment(cost)
     tight = cost - u[:, None] - v <= 0
@@ -137,30 +133,15 @@ class ConsensusResult:
         return int(self.agreement.sum())
 
 
-def align(reference: Labelling, other: Labelling) -> Labelling:
-    """Relabel ``other`` to maximize pointwise agreement with ``reference``."""
-    if other.n_points != reference.n_points:
-        raise DataError("labellings must cover the same points")
-    if other.n_clusters != reference.n_clusters:
-        raise DataError("labellings must use the same number of clusters")
-    C = reference.n_clusters
-    perm = _matching(other.labels, reference.labels, C)
-    return Labelling(labels=perm[other.labels], n_clusters=C)
-
-
 def consensus(labellings: list, n_clusters: int) -> ConsensusResult:
-    """Align all labellings to the first and take unanimity and mode votes."""
-    if not labellings:
-        raise DataError("need at least one labelling")
-    N = labellings[0].n_points
-    for lab in labellings:
-        if lab.n_points != N or lab.n_clusters != n_clusters:
-            raise DataError("labellings must share N and n_clusters")
-    ref = labellings[0]
-    aligned = [ref.labels.copy()]
-    for lab in labellings[1:]:
-        aligned.append(align(ref, lab).labels)
-    matrix = np.stack(aligned)
+    """Align all labellings to the first and take unanimity and mode votes.
+
+    The labellings are one or more, all of the same points and n_clusters.
+    """
+    ref = labellings[0].labels
+    N = ref.shape[0]
+    aligned = [_matching(lab.labels, ref, n_clusters)[lab.labels] for lab in labellings[1:]]
+    matrix = np.stack([ref] + aligned)
     agreement = (matrix == matrix[0]).all(axis=0)
     counts = np.bincount((matrix * N + np.arange(N)).ravel(), minlength=n_clusters * N)
     modes = counts.reshape(n_clusters, N).argmax(axis=0)  # argmax takes the lowest id on ties

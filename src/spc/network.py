@@ -118,6 +118,12 @@ class Mlp:
         return grads, g
 
 
+def _targets(consensus_labels, agreement_flags):
+    """(labels, agreed mask) of a batch's consensus labels and 0/1 agreement flags."""
+    labels = np.asarray(consensus_labels, dtype=np.int64)
+    return labels, np.asarray(agreement_flags, dtype=np.int64) == 1
+
+
 class AutoencoderMember:
     """One ensemble member: encoder f, decoder g, classifier h over a shared latent."""
 
@@ -132,8 +138,8 @@ class AutoencoderMember:
     ):
         if min(input_dim, latent_dim, n_clusters) < 1:
             raise SpcError("dims must be positive")
-        if noise_stddev < 0:
-            raise SpcError("noise_stddev must be non-negative")
+        if not (np.isfinite(noise_stddev) and noise_stddev >= 0):
+            raise SpcError("noise_stddev must be non-negative and finite")
         rng = np.random.default_rng(seed)
         hw = list(hidden_widths)
         self.input_dim = input_dim
@@ -149,33 +155,14 @@ class AutoencoderMember:
 
     # ---- forward ops ----
 
-    def _check_batch(self, batch) -> np.ndarray:
-        batch = np.asarray(batch, dtype=np.float64)
-        if batch.ndim != 2 or batch.shape[1] != self.input_dim:
-            raise DataError(f"batch must be (B, {self.input_dim}), got {batch.shape}")
-        return batch
-
     def encode(self, batch: np.ndarray) -> np.ndarray:
         """Latent codes for a batch, without noise."""
-        latent = self.encoder.forward(self._check_batch(batch))
+        latent = self.encoder.forward(np.asarray(batch, dtype=np.float64))
         if not np.isfinite(latent).all():
             raise NumericError("non-finite encoder activations")
         return latent
 
     # ---- loss with cached forward ----
-
-    def _targets(self, consensus_labels, agreement_flags, n_rows: int):
-        """Validated (labels, agreed mask) for a batch of n_rows points."""
-        labels = np.asarray(consensus_labels, dtype=np.int64)
-        flags = np.asarray(agreement_flags, dtype=np.int64)
-        if labels.shape != (n_rows,) or flags.shape != (n_rows,):
-            raise DataError("labels and flags must match the batch length")
-        if not ((flags == 0) | (flags == 1)).all():
-            raise DataError("agreement flags must be 0 or 1")
-        agreed = flags == 1
-        if agreed.any() and (labels[agreed].min() < 0 or labels[agreed].max() >= self.n_clusters):
-            raise DataError("consensus labels of agreed points must lie in {0..C-1}")
-        return labels, agreed
 
     def _head_loss(
         self, latent, batch, labels, agreed, recon_weight, dec_cache=None, cls_cache=None
@@ -215,12 +202,9 @@ class AutoencoderMember:
 
         With latent = encode(batch) this equals forward_loss(batch, ...) bitwise.
         """
-        batch = self._check_batch(batch)
+        batch = np.asarray(batch, dtype=np.float64)
         latent = np.asarray(latent, dtype=np.float64)
-        B = batch.shape[0]
-        if latent.shape != (B, self.latent_dim):
-            raise DataError(f"latent must be ({B}, {self.latent_dim}), got {latent.shape}")
-        labels, agreed = self._targets(consensus_labels, agreement_flags, B)
+        labels, agreed = _targets(consensus_labels, agreement_flags)
         return self._head_loss(latent, batch, labels, agreed, recon_weight)[0]
 
     def forward_loss(
@@ -237,8 +221,8 @@ class AutoencoderMember:
         With a noise_seed, as in training, the latent codes get seeded Gaussian
         noise of the member's noise_stddev; None means no noise.
         """
-        batch = self._check_batch(batch)
-        labels, agreed = self._targets(consensus_labels, agreement_flags, batch.shape[0])
+        batch = np.asarray(batch, dtype=np.float64)
+        labels, agreed = _targets(consensus_labels, agreement_flags)
 
         enc_cache: list = []
         latent = self.encoder.forward(batch, cache=enc_cache)
@@ -272,8 +256,6 @@ class AutoencoderMember:
         zero and its backward is skipped).  Raises NumericError when any
         gradient entry is not finite.
         """
-        if self._cache is None:
-            raise SpcError("backward requires a cached forward pass; call forward_loss first")
         c = self._cache
         labels, agreed, diff, p_t = c["labels"], c["agreed"], c["diff"], c["p_t"]
         B, n = agreed.shape[0], self.input_dim

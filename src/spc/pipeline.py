@@ -338,10 +338,6 @@ def combined_loss(
     sum of per-member l1 reconstruction losses.  The members run in a
     fan-out; the sum is taken in member order.
     """
-    if not members:
-        raise DataError("need at least one member")
-    if len(latents) != len(members):
-        raise DataError("need one latent array per member")
     tasks = [
         lambda m=m, z=z: m.latent_loss(z, batch, consensus_labels, agreement_flags, recon_weight)
         for m, z in zip(members, latents)

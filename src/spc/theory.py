@@ -49,8 +49,8 @@ class LinearModel:
             raise ConfigError("w_prime must be finite")
         # eta = 0 is the documented degenerate mode where the inequality
         # claims collapse to equalities
-        if not self.eta >= 0:
-            raise ConfigError("eta must be non-negative")
+        if not (np.isfinite(self.eta) and self.eta >= 0):
+            raise ConfigError("eta must be non-negative and finite")
 
     @property
     def dim(self) -> int:
@@ -89,22 +89,12 @@ class TheoryDataset:
 def entropy_curve(C: int, t_grid) -> list:
     """Pairs (t, H) of the C-class entropy with one class at probability t.
 
-    H(t) = -t ln t - (1-t) ln((1-t)/(C-1)), with 0 ln 0 := 0 at t = 1.
+    H(t) = -t ln t - (1-t) ln((1-t)/(C-1)), with 0 ln 0 := 0 at t = 1.  C is
+    at least 2 and every t lies in [1/C, 1].
     """
-    if C < 2:
-        raise ConfigError("need C >= 2")
-    t = np.asarray(t_grid, dtype=np.float64)
-    if t.ndim != 1 or t.shape[0] < 1:
-        raise ConfigError("t_grid must be a non-empty vector")
-    if (np.diff(t) < 0).any():
-        raise ConfigError("t_grid must be sorted ascending")
-    lo = 1.0 / C
-    if t.min() < lo - 1e-12 or t.max() > 1.0 + 1e-12:
-        raise ConfigError(f"t values must lie in [1/C, 1] = [{lo}, 1]")
     out = []
-    for ti in t:
-        ti = min(max(ti, lo), 1.0)
-        h = -ti * np.log(ti) if ti > 0 else 0.0
+    for ti in np.asarray(t_grid, dtype=np.float64):
+        h = -ti * np.log(ti)
         rest = 1.0 - ti
         if rest > 0:
             h -= rest * np.log(rest / (C - 1))
@@ -181,21 +171,14 @@ def constant_point(v) -> callable:
     return sample
 
 
-def _draw_sets(sampler, dim: int, n_samples: int, seed: int, n_sets: int) -> list:
+def _draw_sets(sampler, n_samples: int, seed: int, n_sets: int) -> list:
     """n_sets independent (n_samples, dim) draws from one seeded stream, in order.
 
     The first two draws are the pair (x, x'); the claims say nothing when
     both come out constant, so that is rejected as a degenerate sampler.
     """
-    if n_samples < MIN_MC_SAMPLES:
-        raise ConfigError(f"need at least {MIN_MC_SAMPLES} samples, got {n_samples}")
     rng = np.random.default_rng(seed)
-    sets = []
-    for _ in range(n_sets):
-        x = np.asarray(sampler(rng, n_samples), dtype=np.float64)
-        if x.shape != (n_samples, dim):
-            raise DataError(f"sampler produced shape {x.shape}, expected ({n_samples}, {dim})")
-        sets.append(x)
+    sets = [np.asarray(sampler(rng, n_samples), dtype=np.float64) for _ in range(n_sets)]
     if np.ptp(sets[0], axis=0).max() == 0.0 and np.ptp(sets[1], axis=0).max() == 0.0:
         raise DataError("degenerate sampler: all drawn points identical")
     return sets
@@ -231,7 +214,7 @@ def lemma1_experiment(sampler, model: LinearModel, n_samples: int, seed: int) ->
     u_same = E[((w - eta w'(x+x'))^T (x-x'))^2]
     u_diff = E[((w - eta w'(x-x'))^T (x-x'))^2]
     """
-    x, xp = _draw_sets(sampler, model.dim, n_samples, seed, 2)
+    x, xp = _draw_sets(sampler, n_samples, seed, 2)
     diff = x - xp
     w_dot = diff @ model.w
     ew = model.eta * model.w_prime
@@ -257,7 +240,7 @@ def lemma2_experiment(sampler, model: LinearModel, n_samples: int, seed: int) ->
     v_same = E[((w - eta w'(x+x'))^T (x-z))^2]
     v_diff = E[((w - eta w'(x-x'))^T (x-z))^2]
     """
-    x, xp, z = _draw_sets(sampler, model.dim, n_samples, seed, 3)
+    x, xp, z = _draw_sets(sampler, n_samples, seed, 3)
     xz = x - z
     w_dot = xz @ model.w
     ew = model.eta * model.w_prime
@@ -291,14 +274,12 @@ def lemma3_check(dataset: TheoryDataset, encoder: np.ndarray):
     d sums the per-coordinate statistic over the encoded coordinates.  r and
     s are mean squared encoded distances over ordered pairs drawn with
     replacement (the identity pair counts toward s), matching the
-    Var(T) = (1/2) E[(x-x')^2] convention.  Returns (d, lam1*r - lam2*s,
-    lam1, lam2).
+    Var(T) = (1/2) E[(x-x')^2] convention.  ``encoder`` is an (m, n) matrix
+    over the dataset's n coordinates.  Returns (d, lam1*r - lam2*s, lam1,
+    lam2).
     """
-    A = np.atleast_2d(np.asarray(encoder, dtype=np.float64))
-    if A.shape[1] != dataset.points.shape[1]:
-        raise DataError("encoder input dimension does not match the dataset")
     C = dataset.n_clusters
-    encoded = dataset.points @ A.T
+    encoded = dataset.points @ np.asarray(encoder, dtype=np.float64).T
     d = float(_variance_d(encoded, dataset.labels, C).sum())
     sq = ((encoded[:, None, :] - encoded[None, :, :]) ** 2).sum(axis=2)
     same = dataset.labels[:, None] == dataset.labels[None, :]
@@ -310,19 +291,13 @@ def lemma3_check(dataset: TheoryDataset, encoder: np.ndarray):
 
 
 def theorem_experiment(dataset: TheoryDataset, model: LinearModel, n_trials: int, seed: int) -> dict:
-    """Paired Monte Carlo check that d_T > d_F on a C=2 dataset.
+    """Paired Monte Carlo check that d_T > d_F on a C=2 dataset of the model's width.
 
     Each trial draws a distinct ordered pair (x, x'); the pairwise-correct
     update is the same-labels step when the points share a true cluster and
     the different-labels step otherwise, and the pairwise-incorrect update is
     the opposite.  d is evaluated on the whole dataset after each update.
     """
-    if dataset.n_clusters != 2:
-        raise DataError("theorem check requires C = 2")
-    if n_trials < 2:
-        raise ConfigError("need at least 2 trials")
-    if model.dim != dataset.points.shape[1]:
-        raise DataError("model dimension does not match the dataset")
     rng = np.random.default_rng(seed)
     X = dataset.points
     y = dataset.labels
@@ -356,19 +331,42 @@ def theorem_experiment(dataset: TheoryDataset, model: LinearModel, n_trials: int
 # ---- full suite -----------------------------------------------------------
 
 
-def default_samplers(dim: int) -> dict:
+# every sampler a name can pick, built for a dimension; all but the last
+# are the defaults
+SAMPLERS = {
+    "two_point": lambda dim: two_point(np.eye(1, dim)[0]),
+    "gauss_pair": lambda dim: gauss_pair(np.full(dim, 0.5), 0.5),
+    "uniform_cube": uniform_cube,
+    "rademacher": rademacher,
+    "sphere_shell": sphere_shell,
+    "constant_point": lambda dim: constant_point(np.full(dim, 0.5)),
+}
+DEFAULT_SAMPLERS = tuple(SAMPLERS)[:-1]
+
+
+def build_samplers(names, dim: int) -> dict:
+    """{name: sampler of dimension dim} for each of SAMPLERS' names."""
+    return {name: SAMPLERS[name](dim) for name in names}
+
+
+def check_settings(dim, eta, w_prime, n_samples, n_trials, seed, samplers=DEFAULT_SAMPLERS) -> None:
+    """ConfigError on the first out-of-range setting of run_theory_suite or sampler name.
+
+    LinearModel owns the eta and w_prime rules.  Nothing is built, so a huge
+    dim allocates nothing.
+    """
     if dim < 1:
         raise ConfigError(f"dim must be >= 1, got {dim}")
-    v = np.zeros(dim)
-    v[0] = 1.0
-    mu = np.full(dim, 0.5)
-    return {
-        "two_point": two_point(v),
-        "gauss_pair": gauss_pair(mu, 0.5),
-        "uniform_cube": uniform_cube(dim),
-        "rademacher": rademacher(dim),
-        "sphere_shell": sphere_shell(dim),
-    }
+    LinearModel(w=np.zeros(1), w_prime=w_prime, eta=eta)
+    if n_samples < MIN_MC_SAMPLES:
+        raise ConfigError(f"need at least {MIN_MC_SAMPLES} samples, got {n_samples}")
+    if n_trials < 2:
+        raise ConfigError(f"need at least 2 trials, got {n_trials}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    unknown = [name for name in samplers if name not in SAMPLERS]
+    if unknown:
+        raise ConfigError(f"unknown samplers {unknown}; expected a subset of {sorted(SAMPLERS)}")
 
 
 @dataclass
@@ -428,8 +426,7 @@ def run_theory_suite(
     Claims that are vacuous at eta*w' = 0 are marked not applicable and pass
     as exact equalities.
     """
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    check_settings(dim, eta, w_prime, n_samples, n_trials, seed)
     root = np.random.SeedSequence(seed)
     report = TheoryReport()
 
@@ -453,7 +450,7 @@ def run_theory_suite(
         w=0.3 * model_rng.standard_normal(dim), w_prime=float(w_prime), eta=float(eta)
     )
     if samplers is None:
-        samplers = default_samplers(dim)
+        samplers = build_samplers(DEFAULT_SAMPLERS, dim)
     # two seeds per sampler, then one for lemma 3 and one for the theorem
     seeds = [
         int(child.generate_state(1, dtype=np.uint64)[0])

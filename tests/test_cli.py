@@ -87,8 +87,15 @@ def test_read_config_unknown_section(tmp_path):
 
 
 def test_read_config_takes_percent_literally(tmp_path):
+    # the names reach the sampler-name rule as written, not interpolated
     path = write(tmp_path / "c.ini", "[theory]\nsamplers = a%b, %(x)s\n")
-    assert read_config(path)["theory"]["samplers"] == "a%b, %(x)s"
+    with pytest.raises(ConfigError, match=re.escape("unknown samplers ['a%b', '%(x)s']")):
+        read_config(path)
+
+
+def test_read_config_builds_no_sampler_for_a_huge_dim(tmp_path):
+    path = write(tmp_path / "c.ini", "[theory]\ndim = 1000000000000000\n")
+    assert read_config(path)["theory"]["dim"] == 10**15
 
 
 CONFIG_LINES = st.one_of(
@@ -170,7 +177,7 @@ def test_readme_config_block_parses_to_the_defaults(tmp_path):
 
 
 def test_json_text_formatting():
-    text = json_text({"b": 1 / 3, "a": True, "c": np.float64(2.0) / 3.0, "n": np.int64(7)})
+    text = json_text({"b": 1 / 3, "a": True, "c": np.float64(2.0) / 3.0, "n": np.int64(7)}, "x")
     assert text.endswith("\n")
     obj = json.loads(text)
     assert obj["b"] == 0.3333333333
@@ -178,6 +185,12 @@ def test_json_text_formatting():
     assert obj["a"] is True
     assert obj["n"] == 7
     assert list(obj) == sorted(obj)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_json_text_refuses_non_finite_numbers(value):
+    with pytest.raises(NumericError, match="report.json would hold a non-finite number"):
+        json_text({"a": [1.0, {"b": value}]}, "report.json")
 
 
 # ---- label CSV parsing ----
@@ -295,6 +308,28 @@ def test_every_command_checks_every_section(tmp_path, capsys, command, ini, mess
     out = run_dir(tmp_path)
     assert main([command, "--config", cfg, "--out", out]) == EXIT_CONFIG
     assert one_line_error(capsys, f"config error: {message}")
+    assert not os.path.exists(out)
+    assert no_stage_leftovers(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "command, ini, code, message",
+    [
+        ("run", "[theory]\ndim = 0\n", EXIT_CONFIG, "config error: dim must be >= 1"),
+        ("run", "[theory]\nsamplers = moebius\n", EXIT_CONFIG, "config error: unknown samplers"),
+        ("verify-theory", "[blobs]\nseed = -1\n", EXIT_DATA, "data error: seed must be >= 0"),
+        ("verify-theory", "[spc]\nlearning_rate = -1\n", EXIT_CONFIG, "config error: learning"),
+        ("run", "[theory]\neta = inf\n", EXIT_CONFIG, "config error: eta must be"),
+        ("verify-theory", "[theory]\neta = inf\n", EXIT_CONFIG, "config error: eta must be"),
+        # each value alone is refused, and [idx] is checked before [theory]
+        ("run", "[idx]\nn_clusters = -3\n[theory]\ndim = 0\n", EXIT_DATA, "data error: n_clusters"),
+    ],
+)
+def test_every_command_range_checks_every_section(tmp_path, capsys, command, ini, code, message):
+    cfg = write(tmp_path / "c.ini", ini)
+    out = run_dir(tmp_path)
+    assert main([command, "--config", cfg, "--out", out]) == code
+    assert one_line_error(capsys, message)
     assert not os.path.exists(out)
     assert no_stage_leftovers(tmp_path)
 
@@ -660,6 +695,14 @@ def test_eval_misaligned_indices_exits_2(tmp_path, capsys):
     assert out == "" and err == f"data error: indices in {a} are not 0..3, each once\n"
 
 
+def test_eval_of_one_point_exits_2(tmp_path, capsys):
+    # the only path from outside to the rand index's N >= 2 rule
+    a = write_labels_csv(tmp_path / "a.csv", [0])
+    b = write_labels_csv(tmp_path / "b.csv", [0])
+    assert main(["eval", a, b]) == EXIT_DATA
+    assert one_line_error(capsys, "data error: rand index needs at least 2 points")
+
+
 def test_eval_missing_file_exits_2(tmp_path):
     a = write_labels_csv(tmp_path / "a.csv", [0, 1])
     assert main(["eval", a, str(tmp_path / "missing.csv")]) == EXIT_DATA
@@ -743,6 +786,16 @@ def test_verify_theory_dim_below_one_exits_1(tmp_path, capsys, dim):
     assert main(["verify-theory", "--config", cfg, "--out", out]) == EXIT_CONFIG
     assert one_line_error(capsys, "config error: dim must be >= 1")
     assert not os.path.exists(out)
+
+
+def test_verify_theory_non_finite_report_exits_3(tmp_path, capsys):
+    # every value is in range, but eta * w_prime overflows to inf
+    cfg = write(tmp_path / "t.ini", FAST_THEORY_INI + "eta = 1e200\nw_prime = 1e200\n")
+    out = run_dir(tmp_path)
+    assert main(["verify-theory", "--config", cfg, "--out", out]) == EXIT_NUMERIC
+    assert one_line_error(capsys, "numeric error: theory_report.json would hold a non-finite")
+    assert not os.path.exists(out)
+    assert no_stage_leftovers(tmp_path)
 
 
 def test_verify_theory_failure_after_staging_leaves_nothing(tmp_path, capsys, monkeypatch):

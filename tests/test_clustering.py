@@ -214,17 +214,6 @@ def test_cluster_means_equal_per_cluster_mean_bitwise(m):
 
 
 @pytest.mark.parametrize("fit", [kmeans_fit, gmm_fit])
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_fits_reject_non_finite_latents(fit, bad):
-    x = np.random.default_rng(0).standard_normal((50, 3))
-    x[17, 1] = bad
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(DataError, match="NaN or inf"):
-            fit(x, 3, seed=0)
-
-
-@pytest.mark.parametrize("fit", [kmeans_fit, gmm_fit])
 def test_fits_report_overflowing_seeding_distances_as_numeric(fit):
     # finite latents whose squared distances overflow: the k-means++ draw has
     # no finite weights, which the pipeline's member-failure rule must see
@@ -257,11 +246,6 @@ def test_kmeans_determinism():
     c2, l2 = kmeans_fit(x, 3, seed=9)
     assert np.array_equal(c1, c2)
     assert np.array_equal(l1.labels, l2.labels)
-
-
-def test_kmeans_rejects_too_few_points():
-    with pytest.raises(DataError):
-        kmeans_fit(np.zeros((2, 2)), 3, seed=0)
 
 
 # ---- GMM ----
@@ -415,17 +399,6 @@ def test_gmm_predict_matches_scalar_densities():
                 )
             dens.append(d)
         assert lab.labels[i] == int(np.argmax(dens))
-
-
-def test_gmm_predict_dim_mismatch():
-    model = GmmModel(
-        weights=np.array([1.0]),
-        means=np.zeros((1, 3)),
-        covariances=np.ones((1, 3)),
-        log_likelihood_trace=[],
-    )
-    with pytest.raises(DataError):
-        gmm_predict(model, np.zeros((4, 2)))
 
 
 def test_gmm_model_validation():

@@ -14,8 +14,10 @@ from spc.errors import ConfigError, DataError
 from spc.theory import (
     LinearModel,
     TheoryDataset,
+    DEFAULT_SAMPLERS,
+    build_samplers,
+    check_settings,
     constant_point,
-    default_samplers,
     entropy_curve,
     gauss_pair,
     lemma1_experiment,
@@ -43,6 +45,8 @@ def test_linear_model_validation():
         LinearModel(w=np.ones(2), w_prime=np.inf, eta=0.1)
     with pytest.raises(ConfigError):
         LinearModel(w=np.ones(2), w_prime=1.0, eta=-0.1)
+    with pytest.raises(ConfigError, match="eta must be non-negative and finite"):
+        LinearModel(w=np.ones(2), w_prime=1.0, eta=np.inf)
     m = LinearModel(w=np.ones(3), w_prime=2.0, eta=0.0)
     assert m.dim == 3
 
@@ -98,19 +102,6 @@ def test_entropy_strictly_decreasing():
         assert (np.diff(h) < 0).all()
 
 
-def test_entropy_grid_validation():
-    with pytest.raises(ConfigError):
-        entropy_curve(1, np.array([0.5]))
-    with pytest.raises(ConfigError):
-        entropy_curve(2, np.array([0.3]))  # below 1/C
-    with pytest.raises(ConfigError):
-        entropy_curve(2, np.array([1.1]))
-    with pytest.raises(ConfigError):
-        entropy_curve(2, np.array([0.9, 0.6]))  # not sorted
-    with pytest.raises(ConfigError):
-        entropy_curve(2, np.array([]))
-
-
 # ---- first update comparison (u statistics) -------------------------------
 
 
@@ -163,10 +154,28 @@ def test_lemma1_rejects_degenerate_sampler():
         lemma1_experiment(constant_point(np.array([1.0, 2.0])), model, 10_000, seed=0)
 
 
+SUITE_SETTINGS = dict(dim=2, eta=0.1, w_prime=1.0, n_samples=10_000, n_trials=2, seed=0)
+
+
 def test_lemma1_rejects_tiny_sample_count():
-    model = LinearModel(w=np.ones(2), w_prime=1.0, eta=0.1)
-    with pytest.raises(ConfigError):
-        lemma1_experiment(uniform_cube(2), model, 9_999, seed=0)
+    check_settings(**SUITE_SETTINGS)
+    with pytest.raises(ConfigError, match="at least 10000 samples"):
+        check_settings(**{**SUITE_SETTINGS, "n_samples": 9_999})
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("dim", 0, "dim must be >= 1"),
+        ("eta", np.inf, "eta must be non-negative and finite"),
+        ("w_prime", np.nan, "w_prime must be finite"),
+        ("seed", -1, "seed must be >= 0"),
+        ("samplers", ("two_point", "moebius"), r"unknown samplers \['moebius'\]"),
+    ],
+)
+def test_check_settings_rejects_each_out_of_range_setting(key, value, message):
+    with pytest.raises(ConfigError, match=message):
+        check_settings(**{**SUITE_SETTINGS, key: value})
 
 
 def test_lemma1_deterministic_in_seed():
@@ -178,7 +187,7 @@ def test_lemma1_deterministic_in_seed():
 
 def test_lemma1_holds_for_default_samplers():
     model = LinearModel(w=np.array([0.1, -0.2, 0.15, 0.05]), w_prime=1.0, eta=0.05)
-    for name, sampler in default_samplers(4).items():
+    for name, sampler in build_samplers(DEFAULT_SAMPLERS, 4).items():
         res = lemma1_experiment(sampler, model, 50_000, seed=11)
         assert res["passed"], name
 
@@ -232,7 +241,7 @@ def test_lemma2_eta_zero_exact_equality():
 
 def test_lemma2_holds_for_default_samplers():
     model = LinearModel(w=np.array([0.1, -0.2, 0.15, 0.05]), w_prime=1.0, eta=0.05)
-    for name, sampler in default_samplers(4).items():
+    for name, sampler in build_samplers(DEFAULT_SAMPLERS, 4).items():
         res = lemma2_experiment(sampler, model, 50_000, seed=13)
         assert res["passed"], name
 
@@ -285,20 +294,6 @@ def test_lemma3_identical_points_give_zero():
     ds = TheoryDataset(points=pts, labels=np.repeat([0, 1, 2], 2), n_clusters=3)
     d, combo, _, _ = lemma3_check(ds, np.eye(2))
     assert d == 0.0 and combo == 0.0
-
-
-def test_lemma3_encoder_dimension_mismatch():
-    pts = np.array([[0.0, 1.0], [0.0, -1.0]])
-    ds = TheoryDataset(points=pts, labels=np.array([0, 1]), n_clusters=2)
-    with pytest.raises(DataError):
-        lemma3_check(ds, np.eye(3))
-
-
-def test_lemma3_accepts_vector_encoder():
-    pts = np.array([[0.0, 1.0], [0.0, -1.0], [1.0, 0.0], [-1.0, 0.0]])
-    ds = TheoryDataset(points=pts, labels=np.array([0, 0, 1, 1]), n_clusters=2)
-    d, combo, _, _ = lemma3_check(ds, np.array([0.5, -0.5]))
-    assert abs(d - combo) <= 1e-12
 
 
 # ---- pairwise update sign result ------------------------------------------
@@ -364,26 +359,8 @@ def test_theorem_eta_zero_exact_equality():
 
 
 def test_theorem_validation():
-    pts = np.zeros((6, 2))
-    pts[:3, 0] = 1.0
-    pts[3:, 0] = -1.0
-    ds3 = TheoryDataset(
-        points=np.vstack([pts, pts[:0]]),
-        labels=np.repeat([0, 1], 3),
-        n_clusters=2,
-    )
-    model = LinearModel(w=np.ones(2), w_prime=1.0, eta=0.1)
-    with pytest.raises(ConfigError):
-        theorem_experiment(ds3, model, 1, seed=0)
-    with pytest.raises(DataError):
-        theorem_experiment(ds3, LinearModel(w=np.ones(3), w_prime=1.0, eta=0.1), 100, seed=0)
-    ds_c3 = TheoryDataset(
-        points=np.random.default_rng(0).standard_normal((6, 2)),
-        labels=np.repeat([0, 1, 2], 2),
-        n_clusters=3,
-    )
-    with pytest.raises(DataError):
-        theorem_experiment(ds_c3, model, 100, seed=0)
+    with pytest.raises(ConfigError, match="at least 2 trials"):
+        check_settings(**{**SUITE_SETTINGS, "n_trials": 1})
 
 
 def test_theorem_deterministic_in_seed():
@@ -434,8 +411,8 @@ def test_suite_all_pass():
     report = run_theory_suite(seed=0)
     assert report.all_passed()
     assert report.entropy["passed"]
-    assert set(report.lemma1) == set(default_samplers(4))
-    assert set(report.lemma2) == set(default_samplers(4))
+    assert set(report.lemma1) == set(DEFAULT_SAMPLERS)
+    assert set(report.lemma2) == set(DEFAULT_SAMPLERS)
     assert report.lemma3["max_residual"] <= 1e-9
     assert report.theorem["passed"]
 
