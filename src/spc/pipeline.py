@@ -265,6 +265,19 @@ def train_epoch(
         member.sgd_step(member.backward(train_decoder=not freeze_decoder), learning_rate)
 
 
+def _train_members(
+    members: list, rngs: list, points, labels, flags, config: SpcConfig, workers: int | None, *,
+    epochs: int, learning_rate: float, freeze_decoder: bool,
+) -> None:
+    """Train member j for ``epochs`` epochs on its own stream rngs[j], all in one fan-out."""
+
+    def job(member, rng):
+        for _ in range(epochs):
+            train_epoch(member, points, labels, flags, rng, config, learning_rate, freeze_decoder)
+
+    _fan_out([functools.partial(job, m, r) for m, r in zip(members, rngs)], workers)
+
+
 def pretrain(members: list, dataset: Dataset, config: SpcConfig, workers: int | None = None) -> list:
     """Reconstruction-only training of every member, in place.
 
@@ -276,21 +289,10 @@ def pretrain(members: list, dataset: Dataset, config: SpcConfig, workers: int | 
     _check_normalized(dataset.points)
     rngs = [_member_streams(config, j)[1] for j in range(len(members))]
     zeros = np.zeros(dataset.n_points, dtype=np.int64)
-
-    def job(member, rng):
-        for _ in range(config.pretrain_epochs):
-            train_epoch(
-                member,
-                dataset.points,
-                zeros,
-                zeros,
-                rng,
-                config,
-                config.learning_rate,
-                freeze_decoder=False,
-            )
-
-    _fan_out([lambda m=m, r=r: job(m, r) for m, r in zip(members, rngs)], workers)
+    _train_members(
+        members, rngs, dataset.points, zeros, zeros, config, workers,
+        epochs=config.pretrain_epochs, learning_rate=config.learning_rate, freeze_decoder=False,
+    )
     return rngs
 
 
@@ -379,14 +381,12 @@ def spc_train(
     best_agreed = -1
     stall = 0
     for iteration in range(config.max_iterations):
-        # seeds are drawn in voter order before the fan-out so that results
-        # cannot depend on thread scheduling
-        seeds = [int(rng.integers(2**63)) for rng in cluster_rngs]
-
         def vote(j, latents):
             """Voter j's labelling, or None when its clusterer fails."""
+            # voter j's own stream, so neither voter order nor thread schedule moves the seed
+            seed = int(cluster_rngs[j].integers(2**63))
             try:
-                return _cluster(latents, C, seeds[j], config.clusterer)
+                return _cluster(latents, C, seed, config.clusterer)
             except NumericError as exc:
                 voter = f"member {j}" if j < K else "concatenated member"
                 logger.warning("%s clustering failed at iteration %d: %s", voter, iteration, exc)
@@ -445,22 +445,10 @@ def spc_train(
         if stall >= config.plateau_patience or iteration == config.max_iterations - 1:
             break
 
-        consensus_labels = result.consensus_labels
-
-        def train_task(j):
-            for _ in range(config.loop_epochs):
-                train_epoch(
-                    members[j],
-                    points,
-                    consensus_labels,
-                    flags,
-                    train_rngs[j],
-                    config,
-                    config.loop_learning_rate,
-                    freeze_decoder=True,
-                )
-
-        _fan_out([lambda j=j: train_task(j) for j in range(K)], workers)
+        _train_members(
+            members, train_rngs, points, result.consensus_labels, flags, config, workers,
+            epochs=config.loop_epochs, learning_rate=config.loop_learning_rate, freeze_decoder=True,
+        )
 
     final = Labelling(labels=result.consensus_labels.copy(), n_clusters=C)
     return final, history, members

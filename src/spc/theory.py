@@ -344,11 +344,6 @@ SAMPLERS = {
 DEFAULT_SAMPLERS = tuple(SAMPLERS)[:-1]
 
 
-def build_samplers(names, dim: int) -> dict:
-    """{name: sampler of dimension dim} for each of SAMPLERS' names."""
-    return {name: SAMPLERS[name](dim) for name in names}
-
-
 def check_settings(dim, eta, w_prime, n_samples, n_trials, seed, samplers=DEFAULT_SAMPLERS) -> None:
     """ConfigError on the first out-of-range setting of run_theory_suite or sampler name.
 
@@ -419,14 +414,14 @@ def run_theory_suite(
     n_samples: int = 100_000,
     n_trials: int = 10_000,
     seed: int = 0,
-    samplers: dict | None = None,
+    samplers: tuple = DEFAULT_SAMPLERS,
 ) -> TheoryReport:
     """Run every check and collect a TheoryReport.
 
-    Claims that are vacuous at eta*w' = 0 are marked not applicable and pass
-    as exact equalities.
+    ``samplers`` names the SAMPLERS of the u/v checks.  Claims that are vacuous
+    at eta*w' = 0 are marked not applicable and pass as exact equalities.
     """
-    check_settings(dim, eta, w_prime, n_samples, n_trials, seed)
+    check_settings(dim, eta, w_prime, n_samples, n_trials, seed, samplers)
     root = np.random.SeedSequence(seed)
     report = TheoryReport()
 
@@ -449,14 +444,13 @@ def run_theory_suite(
     model = LinearModel(
         w=0.3 * model_rng.standard_normal(dim), w_prime=float(w_prime), eta=float(eta)
     )
-    if samplers is None:
-        samplers = build_samplers(DEFAULT_SAMPLERS, dim)
+    built = {name: SAMPLERS[name](dim) for name in samplers}
     # two seeds per sampler, then one for lemma 3 and one for the theorem
     seeds = [
         int(child.generate_state(1, dtype=np.uint64)[0])
-        for child in root.spawn(2 * len(samplers) + 2)
+        for child in root.spawn(2 * len(built) + 2)
     ]
-    for k, (name, sampler) in enumerate(samplers.items()):
+    for k, (name, sampler) in enumerate(built.items()):
         report.lemma1[name] = lemma1_experiment(sampler, model, n_samples, seeds[2 * k])
         report.lemma2[name] = lemma2_experiment(sampler, model, n_samples, seeds[2 * k + 1])
 

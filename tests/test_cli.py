@@ -100,7 +100,22 @@ def test_read_config_builds_no_sampler_for_a_huge_dim(tmp_path):
 
 CONFIG_LINES = st.one_of(
     st.sampled_from(
-        ["[spc]", "[theory]", "[DEFAULT]", "[typo]", "[spc", "a = %(b)s", "seed = 5%", "  x", "=", "[]"]
+        [
+            "[spc]",
+            "[blobs]",
+            "[idx]",
+            "[theory]",
+            "[DEFAULT]",
+            "[typo]",
+            "[spc",
+            "a = %(b)s",
+            "seed = 5%",
+            "n_clusters = -3",
+            "seed = -1",
+            "  x",
+            "=",
+            "[]",
+        ]
     ),
     st.text(max_size=30),
 )
@@ -113,12 +128,12 @@ CONFIG_LINES = st.one_of(
         st.lists(CONFIG_LINES, max_size=8).map(lambda lines: "\n".join(lines).encode()),
     )
 )
-def test_read_config_on_arbitrary_bytes_raises_only_config_error(tmp_path_factory, blob):
+def test_read_config_on_arbitrary_bytes_raises_only_config_or_data_error(tmp_path_factory, blob):
     path = tmp_path_factory.mktemp("ini") / "c.ini"
     path.write_bytes(blob)
     try:
         sections = read_config(str(path))
-    except ConfigError:
+    except (ConfigError, DataError):
         return
     assert set(sections) == set(DEFAULTS)
 
@@ -417,6 +432,24 @@ def test_run_exits_3_when_a_member_diverges(tmp_path, capsys, monkeypatch, stack
     out = run_dir(tmp_path)
     assert main(["run", "--config", cfg, "--out", out]) == EXIT_NUMERIC
     assert one_line_error(capsys, "numeric error: non-finite")
+    assert not os.path.exists(out)
+    assert no_stage_leftovers(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "command, ini",
+    [
+        ("run", "[spc]\nlatent_dim = 1000000000000000\n"),
+        ("verify-theory", "[theory]\ndim = 1000000000000000\n"),
+    ],
+)
+def test_out_of_memory_exits_3(tmp_path, capsys, command, ini):
+    # the size passes every range rule, then the first array it sizes cannot
+    # be allocated: the allocation fails at once and touches no memory
+    cfg = write(tmp_path / "c.ini", ini)
+    out = run_dir(tmp_path)
+    assert main([command, "--config", cfg, "--out", out]) == EXIT_NUMERIC
+    assert one_line_error(capsys, "numeric error: out of memory: ")
     assert not os.path.exists(out)
     assert no_stage_leftovers(tmp_path)
 
@@ -799,11 +832,15 @@ def test_verify_theory_non_finite_report_exits_3(tmp_path, capsys):
 
 
 def test_verify_theory_failure_after_staging_leaves_nothing(tmp_path, capsys, monkeypatch):
-    def failing(path):
-        assert os.path.basename(os.path.dirname(path)).startswith(".stage-")
-        raise DataError("injected curve failure")
+    write_csv = cli._write_csv
 
-    monkeypatch.setattr(cli, "_write_entropy_curve", failing)
+    def failing(path, header, rows):
+        if os.path.basename(path) == "entropy_curve.csv":
+            assert os.path.basename(os.path.dirname(path)).startswith(".stage-")
+            raise DataError("injected curve failure")
+        write_csv(path, header, rows)
+
+    monkeypatch.setattr(cli, "_write_csv", failing)
     cfg = write(tmp_path / "t.ini", FAST_THEORY_INI)
     out = run_dir(tmp_path)
     assert main(["verify-theory", "--config", cfg, "--out", out]) == EXIT_DATA

@@ -1,9 +1,11 @@
-"""The canonical `spc run` (blobs, K=5, seed 0, every default) pinned by digest.
+"""The canonical `spc run` (blobs, K=5, seed 0, every default) and the default
+`spc verify-theory`, pinned by digest.
 
 The determinism contract says a fixed config and seed give the same bytes.
-This test checks that the canonical trajectory itself has not moved: the
+These tests check that the canonical trajectory itself has not moved: the
 full sha256 of history.csv, labels.csv, metrics.json and the five member
-checkpoints must equal the pinned values.  A change that moves the outputs
+checkpoints must equal the pinned values, and so must those of
+entropy_curve.csv and theory_report.json.  A change that moves the outputs
 on purpose updates the pins in the same commit.
 
 Those bytes follow the BLAS's GEMM rounding, which may differ across CPUs
@@ -33,6 +35,11 @@ GOLDEN = {
     "members/member_02.npz": "932522e1c6c483d544da0fee5045339b4575d2ff0702f48081098cfcbdb2bdbd",
     "members/member_03.npz": "525ad51fe80783b480a771c90453542d75c6ac1720c82d6261c50c5768f1feeb",
     "members/member_04.npz": "72dd3eedcf5a13bc15e123f6257572b702a946dfdf7ba1a388cdf81d319fdbd3",
+}
+
+THEORY_GOLDEN = {
+    "entropy_curve.csv": "ca716a900c38054d130063231690bfc9613f0e9473a1dd0bcc5fa50aeeab0e2f",
+    "theory_report.json": "5e67f6ab573a3ad20f090c59125a01965a6a9e1eb5c10a2ddffd799a530fdda6",
 }
 
 # the canonical run's stacks: encoder 50-256-128-10, decoder 10-128-256-50
@@ -75,14 +82,26 @@ def sha256_of(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_canonical_run_matches_the_golden_digests(tmp_path):
+def skip_unless_recorded_blas() -> None:
     blas = _openblas_threads()
     if blas is None:
         pytest.skip("numpy's bundled OpenBLAS not found, so there is no BLAS fingerprint")
     fingerprint = blas_fingerprint(*blas)
     if fingerprint != BLAS_FINGERPRINT:
         pytest.skip(f"BLAS fingerprint {fingerprint} differs from the recorded one")
+
+
+def test_canonical_run_matches_the_golden_digests(tmp_path):
+    skip_unless_recorded_blas()
     out = tmp_path / "canonical"
     assert main(["run", "--out", str(out)]) == EXIT_OK
     digests = {name: sha256_of(out / name) for name in GOLDEN}
     assert digests == GOLDEN
+
+
+def test_default_verify_theory_matches_the_golden_digests(tmp_path):
+    skip_unless_recorded_blas()
+    out = tmp_path / "theory"
+    assert main(["verify-theory", "--out", str(out)]) == EXIT_OK
+    digests = {name: sha256_of(out / name) for name in THEORY_GOLDEN}
+    assert digests == THEORY_GOLDEN

@@ -419,9 +419,12 @@ def test_spc_train_without_truth_labels():
     assert final.n_points == ds.n_points
 
 
-def test_spc_train_reproducible_across_worker_counts():
+@pytest.mark.parametrize("concat_member", [False, True])
+def test_spc_train_reproducible_across_worker_counts(concat_member):
+    # each voter, the concatenated one included, draws its clusterer seed from
+    # its own stream, so the seeds cannot follow the thread schedule
     ds = small_blobs()
-    cfg = small_config()
+    cfg = small_config(concat_member=concat_member)
     final_serial, hist_serial, _ = spc_train(ds, cfg, workers=1)
     final_pool, hist_pool, _ = spc_train(ds, cfg, workers=3)
     assert np.array_equal(final_serial.labels, final_pool.labels)

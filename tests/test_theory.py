@@ -15,7 +15,7 @@ from spc.theory import (
     LinearModel,
     TheoryDataset,
     DEFAULT_SAMPLERS,
-    build_samplers,
+    SAMPLERS,
     check_settings,
     constant_point,
     entropy_curve,
@@ -187,7 +187,7 @@ def test_lemma1_deterministic_in_seed():
 
 def test_lemma1_holds_for_default_samplers():
     model = LinearModel(w=np.array([0.1, -0.2, 0.15, 0.05]), w_prime=1.0, eta=0.05)
-    for name, sampler in build_samplers(DEFAULT_SAMPLERS, 4).items():
+    for name, sampler in {name: SAMPLERS[name](4) for name in DEFAULT_SAMPLERS}.items():
         res = lemma1_experiment(sampler, model, 50_000, seed=11)
         assert res["passed"], name
 
@@ -241,7 +241,7 @@ def test_lemma2_eta_zero_exact_equality():
 
 def test_lemma2_holds_for_default_samplers():
     model = LinearModel(w=np.array([0.1, -0.2, 0.15, 0.05]), w_prime=1.0, eta=0.05)
-    for name, sampler in build_samplers(DEFAULT_SAMPLERS, 4).items():
+    for name, sampler in {name: SAMPLERS[name](4) for name in DEFAULT_SAMPLERS}.items():
         res = lemma2_experiment(sampler, model, 50_000, seed=13)
         assert res["passed"], name
 
@@ -430,8 +430,7 @@ def test_suite_json_shape():
 
 
 def test_suite_custom_samplers():
-    samplers = {"two_point": two_point(np.array([1.0, 0.0, 0.0, 0.0]))}
-    report = run_theory_suite(seed=0, samplers=samplers)
+    report = run_theory_suite(seed=0, samplers=("two_point",))
     assert set(report.lemma1) == {"two_point"}
     assert set(report.lemma2) == {"two_point"}
 
