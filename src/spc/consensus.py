@@ -2,8 +2,10 @@
 
 Cluster ids coming out of independent fits are arbitrary, so ensemble members
 are aligned to member 0 by solving an assignment problem on co-occurrence
-counts.  The consensus label of a point is the mode of its aligned labels and
-the point is flagged as agreed when the ensemble is unanimous:
+counts, with ids renumbered by first appearance so that the alignment, ties
+included, depends on the partitions alone.  The consensus label of a point
+is the mode of its aligned labels and the point is flagged as agreed when
+the ensemble is unanimous:
 
     c_i = mode_j aligned_j[i],    a_i = 1 iff all aligned_j[i] equal.
 
@@ -20,14 +22,15 @@ from .clustering import Labelling
 from .errors import DataError
 
 
-def _solve_assignment(cost: np.ndarray):
-    """Minimum-cost perfect matching on a square matrix, O(n^3).
+def hungarian(cost: np.ndarray) -> np.ndarray:
+    """Permutation perm minimizing sum_r cost[r, perm[r]] over a square, finite cost, O(n^3).
 
-    Potentials u, v and matching p over 1-indexed arrays; p[j] is the row
-    matched to column j.  Returns (perm, u, v) with perm[row] = column and
-    the optimal dual potentials u[row], v[column]: cost - u[:, None] - v
-    is nonnegative and vanishes on every matched edge.
+    Rows join one at a time, in order, along shortest augmenting paths
+    (potentials u, v over 1-indexed arrays; p[j] is the row matched to column
+    j).  On a tie the result is the first optimum found, each step taking the
+    first minimum column; integer costs keep that choice exact.
     """
+    cost = np.asarray(cost, dtype=np.float64)
     n = cost.shape[0]
     u = np.zeros(n + 1)
     v = np.zeros(n + 1)
@@ -60,46 +63,6 @@ def _solve_assignment(cost: np.ndarray):
             j0 = j1
     perm = np.zeros(n, dtype=np.int64)
     perm[p[1:] - 1] = np.arange(n)
-    return perm, u[1:], v[1:]
-
-
-def hungarian(cost: np.ndarray) -> np.ndarray:
-    """Permutation perm minimizing sum_r cost[r, perm[r]] over a square, finite cost.
-
-    On integer-valued costs the result is the lexicographically smallest
-    optimal permutation; on other costs it is optimal up to rounding.
-
-    One solve gives an optimal matching and its dual potentials u, v.  By
-    complementary slackness the optimal permutations are exactly the perfect
-    matchings of the tight edges, cost - u - v == 0, which integer costs keep
-    exact.  Row by row, row r then keeps the smallest tight column, not
-    taken by an earlier row, that some such matching gives it: its current
-    column, or one whose row can hand its column on along an alternating
-    path through later rows that ends in row r's current column (Tassa
-    2012, finding all maximally-matchable edges).  The path found by
-    breadth-first search is applied to the matching.
-    """
-    cost = np.asarray(cost, dtype=np.float64)
-    n = cost.shape[0]
-    perm, u, v = _solve_assignment(cost)
-    tight = cost - u[:, None] - v <= 0
-    tight[np.arange(n), perm] = True
-    row_of = np.argsort(perm)
-    for r in range(n):
-        # to[a]: the column row a takes when the path through it is applied
-        to = np.full(n, -1)
-        to[r] = perm[r]
-        queue = [perm[r]]
-        for col in queue:  # the list grows while it is read: breadth-first
-            later = np.flatnonzero(tight[r + 1 :, col] & (to[r + 1 :] < 0)) + r + 1
-            to[later] = col
-            queue.extend(perm[later])
-        c = np.flatnonzero(tight[r] & (row_of >= r) & (to[row_of] >= 0))[0]
-        a = row_of[c]
-        perm[r] = c
-        while a != r:
-            perm[a], a = to[a], row_of[to[a]]
-        row_of[perm] = np.arange(n)
     return perm
 
 
@@ -109,12 +72,29 @@ def _cooccurrence(rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int) 
     return counts.reshape(n_rows, n_cols).astype(np.float64)
 
 
+def _first_appearance(labels: np.ndarray, n_clusters: int):
+    """(ranks, ids) of the ids {0..C-1} renumbered in the order they first occur.
+
+    ids[r] is the raw id of rank r, so ids[ranks] == labels; ids absent from
+    labels come last, in raw order.  Relabelling labels leaves ranks unchanged.
+    """
+    present, first_point = np.unique(labels, return_index=True)
+    first = np.full(n_clusters, labels.shape[0])
+    first[present] = first_point
+    ids = np.argsort(first, kind="stable")
+    return np.argsort(ids)[labels], ids  # argsort inverts the permutation ids
+
+
 def _matching(labels: np.ndarray, reference: np.ndarray, n_clusters: int) -> np.ndarray:
     """Permutation perm of the ids {0..C-1} maximizing #{i : perm[labels[i]] = reference[i]}.
 
-    Ties go to the lexicographically smallest perm (see ``hungarian``).
+    Solved on labels' first-appearance ranks, so perm[labels] depends on the
+    partition of labels, not on its ids, even when the matching ties.
     """
-    return hungarian(-_cooccurrence(labels, reference, n_clusters, n_clusters))
+    ranks, ids = _first_appearance(labels, n_clusters)
+    perm = np.empty(n_clusters, dtype=np.int64)
+    perm[ids] = hungarian(-_cooccurrence(ranks, reference, n_clusters, n_clusters))
+    return perm
 
 
 @dataclass(frozen=True)
@@ -137,11 +117,15 @@ def consensus(labellings: list, n_clusters: int) -> ConsensusResult:
     """Align all labellings to the first and take unanimity and mode votes.
 
     The labellings are one or more, all of the same points and n_clusters.
+    Each is matched to member 0's first-appearance ids and then named by
+    member 0's raw ids, so relabelling any member but 0 changes nothing, and
+    relabelling member 0 renames the agreed points' consensus ids.  Mode
+    ties go to member 0's lowest raw id.
     """
-    ref = labellings[0].labels
+    ref, ids = _first_appearance(labellings[0].labels, n_clusters)
     N = ref.shape[0]
-    aligned = [_matching(lab.labels, ref, n_clusters)[lab.labels] for lab in labellings[1:]]
-    matrix = np.stack([ref] + aligned)
+    aligned = [ids[_matching(lab.labels, ref, n_clusters)][lab.labels] for lab in labellings[1:]]
+    matrix = np.stack([labellings[0].labels] + aligned)
     agreement = (matrix == matrix[0]).all(axis=0)
     counts = np.bincount((matrix * N + np.arange(N)).ravel(), minlength=n_clusters * N)
     modes = counts.reshape(n_clusters, N).argmax(axis=0)  # argmax takes the lowest id on ties

@@ -73,7 +73,6 @@ class Mlp:
         widths = [int(w) for w in widths]
         if len(widths) < 2 or any(w < 1 for w in widths):
             raise SpcError(f"need >= 2 positive layer widths, got {widths}")
-        self.widths = widths
         # one (forward, backward) pair per layer
         hidden, output = _ACTIVATIONS["leaky_relu"], _ACTIVATIONS[output_activation]
         self.activations = [hidden] * (len(widths) - 2) + [output]

@@ -52,10 +52,6 @@ class LinearModel:
         if not (np.isfinite(self.eta) and self.eta >= 0):
             raise ConfigError("eta must be non-negative and finite")
 
-    @property
-    def dim(self) -> int:
-        return self.w.shape[0]
-
 
 @dataclass(frozen=True)
 class TheoryDataset:
@@ -80,10 +76,6 @@ class TheoryDataset:
             raise DataError("labels out of range")
         if np.unique(counts).size != 1:
             raise DataError(f"clusters must be equally sized, got counts {counts.tolist()}")
-
-    @property
-    def n_points(self) -> int:
-        return self.points.shape[0]
 
 
 def entropy_curve(C: int, t_grid) -> list:
@@ -138,9 +130,9 @@ def gauss_pair(mu, sigma: float) -> callable:
     return sample
 
 
-def uniform_cube(dim: int, half_width: float = 1.0) -> callable:
+def uniform_cube(dim: int) -> callable:
     def sample(rng, size):
-        return rng.uniform(-half_width, half_width, size=(size, dim))
+        return rng.uniform(-1.0, 1.0, size=(size, dim))
 
     return sample
 
@@ -152,11 +144,11 @@ def rademacher(dim: int) -> callable:
     return sample
 
 
-def sphere_shell(dim: int, radius: float = 1.0) -> callable:
+def sphere_shell(dim: int) -> callable:
     def sample(rng, size):
         g = rng.standard_normal((size, dim))
         norms = np.sqrt((g**2).sum(axis=1, keepdims=True))
-        return radius * g / norms
+        return g / norms
 
     return sample
 

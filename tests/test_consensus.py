@@ -2,7 +2,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spc.clustering import Labelling
@@ -15,28 +15,18 @@ from spc.consensus import (
     nmi,
     rand_index,
 )
-import spc.consensus as consensus_module
-from spc.consensus import _cooccurrence, _matching, _solve_assignment
+from spc.consensus import _cooccurrence, _matching
 from spc.errors import DataError
 
 
 def brute_force_min(cost):
     n = cost.shape[0]
-    best_cost = None
-    best_perms = []
-    for perm in permutations(range(n)):
-        c = sum(cost[r, perm[r]] for r in range(n))
-        if best_cost is None or c < best_cost - 1e-12:
-            best_cost = c
-            best_perms = [perm]
-        elif abs(c - best_cost) <= 1e-12:
-            best_perms.append(perm)
-    return best_cost, best_perms
+    return min(sum(cost[r, perm[r]] for r in range(n)) for perm in permutations(range(n)))
 
 
 def scalar_loop_assignment(cost):
-    """_solve_assignment with its column scan as a scalar loop, as it was
-    written before the scan became array operations: (perm, u, v)."""
+    """hungarian with its column scan as a scalar loop, as it was written
+    before the scan became array operations: the first optimum it finds."""
     n = cost.shape[0]
     u, v = np.zeros(n + 1), np.zeros(n + 1)
     p, way = np.zeros(n + 1, dtype=np.int64), np.zeros(n + 1, dtype=np.int64)
@@ -66,33 +56,6 @@ def scalar_loop_assignment(cost):
     perm = np.zeros(n, dtype=np.int64)
     for j in range(1, n + 1):
         perm[p[j] - 1] = j - 1
-    return perm, u[1:], v[1:]
-
-
-def eps_refined_assignment(cost):
-    """The lexicographically smallest optimal perm by re-solving: row by row,
-    keep the smallest column whose optimal completion reaches the optimum
-    within a relative eps."""
-
-    def solved_cost(sub):
-        perm = _solve_assignment(sub)[0]
-        return float(sum(sub[r, perm[r]] for r in range(len(perm))))
-
-    n = cost.shape[0]
-    best = solved_cost(cost)
-    eps = 1e-9 * (1.0 + abs(best))
-    perm = np.zeros(n, dtype=np.int64)
-    free_cols = list(range(n))
-    prefix = 0.0
-    for r in range(n):
-        for c in free_cols:
-            rest_cols = [x for x in free_cols if x != c]
-            completion = solved_cost(cost[np.ix_(range(r + 1, n), rest_cols)])
-            if prefix + cost[r, c] + completion <= best + eps:
-                perm[r] = c
-                prefix += cost[r, c]
-                free_cols.remove(c)
-                break
     return perm
 
 
@@ -116,40 +79,16 @@ def test_hungarian_matches_brute_force():
         perm = hungarian(cost)
         assert sorted(perm.tolist()) == [0, 1, 2, 3, 4]
         got = sum(cost[r, perm[r]] for r in range(5))
-        best, _ = brute_force_min(cost)
+        best = brute_force_min(cost)
         assert got == pytest.approx(best, abs=1e-9)
 
 
-def test_hungarian_lexicographic_tie_break():
-    assert hungarian(np.zeros((1, 1))).tolist() == [0]
-    assert hungarian(np.zeros((3, 3))).tolist() == [0, 1, 2]
-    rng = np.random.default_rng(1)
-    for _ in range(100):
-        # few distinct values force plenty of optimal ties
-        cost = rng.integers(0, 2, size=(4, 4)).astype(float)
-        perm = tuple(hungarian(cost).tolist())
-        _, best_perms = brute_force_min(cost)
-        assert perm == min(best_perms)
-
-
-def test_solve_assignment_equals_the_scalar_loop_bitwise():
+def test_hungarian_equals_the_scalar_loop_bitwise():
+    # the integer tables tie often, so this pins which optimum a tie keeps
     rng = np.random.default_rng(16)
     for n in (1, 2, 5, 9, 24):
         for cost in (rng.random((n, n)), rng.integers(-3, 3, (n, n)).astype(float)):
-            for got, expect in zip(_solve_assignment(cost), scalar_loop_assignment(cost)):
-                assert got.tobytes() == expect.tobytes()
-
-
-def test_hungarian_solves_once(monkeypatch):
-    calls = []
-
-    def counted(cost):
-        calls.append(cost.shape)
-        return _solve_assignment(cost)
-
-    monkeypatch.setattr(consensus_module, "_solve_assignment", counted)
-    hungarian(np.zeros((6, 6)))
-    assert calls == [(6, 6)]
+            assert hungarian(cost).tobytes() == scalar_loop_assignment(cost).tobytes()
 
 
 # ---- align ----
@@ -237,6 +176,15 @@ def test_consensus_mode_tie_lowest_id():
     assert np.array_equal(aligned(a, b), b.labels)
     assert res.consensus_labels.tolist() == [0, 0, 1, 0, 0]
     assert res.agreement.tolist() == [True, False, True, False, True]
+
+
+def test_consensus_flags_survive_relabelling_the_reference():
+    # member 1 ties between two matchings to member 0; the tie must not
+    # follow member 0's ids
+    member1 = Labelling(np.array([2, 0, 1]), 3)
+    for member0 in ([1, 1, 0], [2, 2, 0]):  # the second is the first relabelled by (0 2 1)
+        res = consensus([Labelling(np.array(member0), 3), member1], 3)
+        assert res.agreement.tolist() == [True, False, True]
 
 
 def test_consensus_monotone_in_ensemble_size():
@@ -432,11 +380,6 @@ def test_accuracy_is_the_best_permutation_rate(pair):
     assert accuracy(pred, truth) == best
 
 
-def matching_is_unique(labels, reference, C):
-    scores = [(np.array(p)[labels] == reference).sum() for p in permutations(range(C))]
-    return scores.count(max(scores)) == 1
-
-
 @st.composite
 def ensembles(draw):
     """(member labellings, C, relabelled member, id permutation): noisy copies of one labelling."""
@@ -457,10 +400,7 @@ def ensembles(draw):
 @SETTINGS
 @given(ensembles())
 def test_consensus_invariant_under_member_relabelling(ensemble):
-    # a tied matching is broken by id order, which relabelling changes
     members, C, j, perm = ensemble
-    ref = members[0].labels
-    assume(all(matching_is_unique(m.labels, ref, C) for m in members[1:]))
     relabelled = list(members)
     relabelled[j] = Labelling(perm[members[j].labels], C)
     before, after = consensus(members, C), consensus(relabelled, C)
@@ -490,15 +430,20 @@ def integer_cost_tables(draw, max_n):
 
 @SETTINGS
 @given(integer_cost_tables(max_n=6))
-def test_hungarian_is_the_smallest_optimal_perm(cost):
-    _, best_perms = brute_force_min(cost)
-    assert tuple(hungarian(cost).tolist()) == min(best_perms)
+def test_hungarian_is_optimal_on_tie_heavy_tables(cost):
+    perm = hungarian(cost)
+    assert sorted(perm.tolist()) == list(range(cost.shape[0]))
+    assert cost[np.arange(cost.shape[0]), perm].sum() == brute_force_min(cost)
 
 
 @SETTINGS
-@given(integer_cost_tables(max_n=10))
-def test_hungarian_equals_the_eps_refinement(cost):
-    assert hungarian(cost).tolist() == eps_refined_assignment(cost).tolist()
+@given(labelling_pairs(), st.data())
+def test_matching_ignores_the_ids_of_labels(pair, data):
+    labels, reference = pair[0].labels, pair[1].labels
+    C = max(pair[0].n_clusters, pair[1].n_clusters)
+    perm = np.array(data.draw(st.permutations(range(C))))
+    expect = _matching(labels, reference, C)[labels]
+    assert np.array_equal(_matching(perm[labels], reference, C)[perm[labels]], expect)
 
 
 @SETTINGS

@@ -72,19 +72,19 @@ def test_init_deterministic_and_distinct():
 def test_init_fan_in_bounds():
     m = AutoencoderMember(16, 4, 3, seed=0, noise_stddev=0.0, hidden_widths=(256, 128))
     for mlp in (m.encoder, m.decoder, m.classifier):
-        for w, fan_in in zip(mlp.weights, mlp.widths[:-1]):
-            assert np.abs(w).max() <= 1.0 / np.sqrt(fan_in)
+        for w in mlp.weights:
+            assert np.abs(w).max() <= 1.0 / np.sqrt(w.shape[1])
 
 
 def test_classifier_hidden_width_is_25():
     m = AutoencoderMember(784, 50, 10, seed=0, noise_stddev=0.0, hidden_widths=(256, 128))
-    assert m.classifier.widths == [50, 25, 10]
+    assert [w.shape for w in m.classifier.weights] == [(25, 50), (10, 25)]
 
 
 def test_default_encoder_widths():
     m = AutoencoderMember(784, 50, 10, seed=0, noise_stddev=0.0, hidden_widths=(256, 128))
-    assert m.encoder.widths == [784, 256, 128, 50]
-    assert m.decoder.widths == [50, 128, 256, 784]
+    assert [w.shape for w in m.encoder.weights] == [(256, 784), (128, 256), (50, 128)]
+    assert [w.shape for w in m.decoder.weights] == [(128, 50), (256, 128), (784, 256)]
 
 
 # ---- encode / decode / classify ----

@@ -435,6 +435,38 @@ def test_spc_train_reproducible_across_worker_counts(concat_member):
         assert a.overall_accuracy == b.overall_accuracy
 
 
+def test_spc_train_ignores_the_ids_voters_pick(monkeypatch):
+    # many clusters and the GMM make tied matchings common; a tie must not
+    # follow the ids a voter other than member 0 happens to give its clusters
+    seed = 2
+    spec = BlobSpec(
+        n_clusters=12, points_per_cluster=10, ambient_dim=20,
+        centroid_separation=30.0, within_cluster_stddev=1.0, seed=seed,
+    )
+    ds = normalize(make_blobs(spec))
+    cfg = small_config(
+        n_members=3, concat_member=True, clusterer="gmm",
+        pretrain_epochs=2, max_iterations=2, master_seed=seed,
+    )
+    final, history, _ = spc_train(ds, cfg, workers=1)
+
+    stream = _member_streams(cfg, 0)[2]
+    member0_seeds = {int(stream.integers(2**63)) for _ in range(cfg.max_iterations)}
+    cluster = pipeline._cluster
+
+    def relabelled(latents, n_clusters, fit_seed, kind):
+        labelling = cluster(latents, n_clusters, fit_seed, kind)
+        if fit_seed in member0_seeds:
+            return labelling
+        perm = np.random.default_rng(fit_seed).permutation(n_clusters)
+        return Labelling(perm[labelling.labels], n_clusters)
+
+    monkeypatch.setattr(pipeline, "_cluster", relabelled)
+    final_relabelled, history_relabelled, _ = spc_train(ds, cfg, workers=1)
+    assert history_relabelled == history
+    assert np.array_equal(final_relabelled.labels, final.labels)
+
+
 # ---- voters whose clusterer fails ----
 
 

@@ -48,7 +48,7 @@ def test_linear_model_validation():
     with pytest.raises(ConfigError, match="eta must be non-negative and finite"):
         LinearModel(w=np.ones(2), w_prime=1.0, eta=np.inf)
     m = LinearModel(w=np.ones(3), w_prime=2.0, eta=0.0)
-    assert m.dim == 3
+    assert m.w.shape == (3,)
 
 
 def test_theory_dataset_recentres():
@@ -373,7 +373,7 @@ def test_theorem_deterministic_in_seed():
 
 def test_separable_dataset_is_symmetric():
     ds = separable_two_cluster_dataset(n_per=12, dim=3, separation=5.0, seed=1)
-    assert ds.n_points == 24
+    assert ds.points.shape == (24, 3)
     # cluster 1 is the reflection of cluster 0; recentring subtracts the
     # numerically computed mean, so allow one rounding step of slack
     a = np.sort(-ds.points[ds.labels == 0], axis=0)
@@ -392,10 +392,10 @@ def test_samplers_shapes_and_support():
     assert set(np.unique(x[:, 0])) <= {-1.0, 1.0}
     x = rademacher(3)(rng, 50)
     assert set(np.unique(x)) <= {-1.0, 1.0}
-    x = uniform_cube(2, half_width=0.5)(rng, 200)
-    assert np.abs(x).max() <= 0.5
-    x = sphere_shell(4, radius=2.0)(rng, 200)
-    np.testing.assert_allclose(np.linalg.norm(x, axis=1), 2.0, rtol=1e-12)
+    x = uniform_cube(2)(rng, 200)
+    assert x.shape == (200, 2) and np.abs(x).max() <= 1.0
+    x = sphere_shell(4)(rng, 200)
+    np.testing.assert_allclose(np.linalg.norm(x, axis=1), 1.0, rtol=1e-12)
     x = gauss_pair(np.array([3.0, 0.0]), 0.1)(rng, 500)
     assert x.shape == (500, 2)
     # two well-separated modes at +-mu
