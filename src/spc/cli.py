@@ -111,7 +111,7 @@ def _check_ranges(sections: dict) -> None:
 
 
 def _parse_value(section: str, key: str, text: str, default):
-    """The value of ``text`` as the type of ``default``."""
+    """The value of ``text`` as the type of ``default``; an integer must fit in int64."""
     text = text.strip()
     try:
         if isinstance(default, bool):
@@ -120,14 +120,17 @@ def _parse_value(section: str, key: str, text: str, default):
                 raise ValueError(f"not a boolean: {text!r}")
             return configparser.ConfigParser.BOOLEAN_STATES[word]
         if isinstance(default, int):
-            return int(text, 10)
+            value = int(text, 10)
+            if not -(2**63) <= value < 2**63:
+                raise ValueError(f"{text} does not fit in a signed 64-bit integer")
+            return value
         if isinstance(default, float):
             return float(text)
         if isinstance(default, tuple):
             parts = text.replace(",", " ").split()
             if not parts:
                 raise ValueError("empty list")
-            return tuple(type(default[0])(p) for p in parts)
+            return tuple(_parse_value(section, key, p, default[0]) for p in parts)
         return text
     except ValueError as exc:
         raise ConfigError(f"bad value for {key} in [{section}]: {exc}") from exc
@@ -334,7 +337,7 @@ def _read_label_csv(path: str) -> np.ndarray:
             if [i for i, _ in pairs] != list(range(len(pairs))):
                 raise DataError(f"indices in {path} are not 0..{len(pairs) - 1}, each once")
             labels = np.array([label for _, label in pairs], dtype=np.int64)
-    except (ValueError, IndexError) as exc:
+    except (ValueError, IndexError, OverflowError) as exc:
         raise DataError(f"malformed label row in {path}: {exc}") from exc
     if labels.min() < 0:
         raise DataError(f"negative label in {path}")

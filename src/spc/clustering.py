@@ -64,10 +64,6 @@ class GmmModel:
         if (self.covariances <= 0).any():
             raise DataError("covariance entries must be positive")
 
-    @property
-    def n_components(self) -> int:
-        return self.weights.shape[0]
-
 
 def _sq_dists(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     diff = x[:, None, :] - centroids[None, :, :]
@@ -269,14 +265,14 @@ def gmm_fit(latents: np.ndarray, C: int, seed: int) -> GmmModel:
         lse = np.logaddexp.reduce(log_joint, axis=1)
         resp = np.exp(log_joint - lse[:, None])
         if not np.isfinite(resp).all():
-            raise NumericError("non-finite responsibility", iteration=it)
+            raise NumericError(f"non-finite responsibility (iteration {it})")
         ll = float(lse.sum())
         trace.append(ll)
         if len(trace) >= 2 and ll - trace[-2] < GMM_TOL:
             break
         nc = resp.sum(axis=0)
         if (nc <= 0).any() or not np.isfinite(nc).all():
-            raise NumericError("component collapsed to zero responsibility", iteration=it)
+            raise NumericError(f"component collapsed to zero responsibility (iteration {it})")
         weights = nc / N
         means = (resp.T @ x) / nc[:, None]
         second = (resp.T @ (x**2)) / nc[:, None]
@@ -290,4 +286,4 @@ def gmm_predict(model: GmmModel, latents: np.ndarray) -> Labelling:
     """Hard assignment by maximum responsibility; ties go to the lowest id."""
     x = np.asarray(latents, dtype=np.float64)
     log_joint = _log_prob(x, model.weights, model.means, model.covariances)
-    return Labelling(labels=log_joint.argmax(axis=1), n_clusters=model.n_components)
+    return Labelling(labels=log_joint.argmax(axis=1), n_clusters=model.weights.shape[0])

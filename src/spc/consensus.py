@@ -9,7 +9,7 @@ the ensemble is unanimous:
 
     c_i = mode_j aligned_j[i],    a_i = 1 iff all aligned_j[i] equal.
 
-Accuracy against ground truth uses the same assignment machinery.
+Accuracy against ground truth is the mean correctness under the same matching.
 """
 
 from __future__ import annotations
@@ -67,7 +67,9 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
 
 
 def _cooccurrence(rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int) -> np.ndarray:
-    """Float64 table t[r, c] = #{i : rows[i] = r and cols[i] = c}."""
+    """Float64 table t[r, c] = #{i : rows[i] = r and cols[i] = c}; DataError on unequal lengths."""
+    if rows.shape != cols.shape:
+        raise DataError("labellings must cover the same points")
     counts = np.bincount(rows * n_cols + cols, minlength=n_rows * n_cols)
     return counts.reshape(n_rows, n_cols).astype(np.float64)
 
@@ -95,6 +97,11 @@ def _matching(labels: np.ndarray, reference: np.ndarray, n_clusters: int) -> np.
     perm = np.empty(n_clusters, dtype=np.int64)
     perm[ids] = hungarian(-_cooccurrence(ranks, reference, n_clusters, n_clusters))
     return perm
+
+
+def _aligned_correct(predicted: np.ndarray, truth: np.ndarray, n_clusters: int) -> np.ndarray:
+    """Pointwise correctness under the accuracy-maximizing label permutation."""
+    return _matching(predicted, truth, n_clusters)[predicted] == truth
 
 
 @dataclass(frozen=True)
@@ -138,16 +145,14 @@ def _joint(predicted: Labelling, truth: Labelling) -> np.ndarray:
     C is the larger of the two id counts; the rows or columns past the
     smaller one are zero, and every entry and margin is an exact integer.
     """
-    if predicted.n_points != truth.n_points:
-        raise DataError("labellings must cover the same points")
     C = max(predicted.n_clusters, truth.n_clusters)
     return _cooccurrence(predicted.labels, truth.labels, C, C)
 
 
 def accuracy(predicted: Labelling, truth: Labelling) -> float:
-    """Best-permutation agreement rate between two labellings."""
-    perm = hungarian(-_joint(predicted, truth))
-    return float((perm[predicted.labels] == truth.labels).mean())
+    """Best-permutation agreement rate between two labellings of the same points."""
+    C = max(predicted.n_clusters, truth.n_clusters)
+    return float(_aligned_correct(predicted.labels, truth.labels, C).mean())
 
 
 def _entropy(counts: np.ndarray) -> float:

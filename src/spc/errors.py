@@ -19,14 +19,4 @@ class DataError(SpcError):
 
 
 class NumericError(SpcError):
-    """A computation produced non-finite values or otherwise broke down.
-
-    ``iteration`` records where the failure happened when the computation is
-    iterative, else None.
-    """
-
-    def __init__(self, message: str, iteration: int | None = None):
-        if iteration is not None:
-            message = f"{message} (iteration {iteration})"
-        super().__init__(message)
-        self.iteration = iteration
+    """A computation produced non-finite values or otherwise broke down."""

@@ -5,10 +5,10 @@ dimension m: an encoder f (all layers leaky ReLU), a decoder g (tanh output,
 so reconstruction targets must lie in [-1, 1]) and a classifier h (one hidden
 layer, softmax output).  The combined objective averages, over points, a
 cross-entropy term on points whose pseudo-label is trusted and an l1
-reconstruction term on the rest:
+reconstruction term on the rest.  The trust is a boolean agreement mask a:
 
-    L = (1/N) sum_i sum_j [ a_i = 1:  CE(h_j(f_j(x_i)), c_i)
-                            a_i = 0:  w * (1/n) |g_j(f_j(x_i)) - x_i|_1 ]
+    L = (1/N) sum_i sum_j [ a_i true:   CE(h_j(f_j(x_i)), c_i)
+                            a_i false:  w * (1/n) |g_j(f_j(x_i)) - x_i|_1 ]
 
 Gradients are computed analytically layer by layer; tests hold them to
 central finite differences.
@@ -117,12 +117,6 @@ class Mlp:
         return grads, g
 
 
-def _targets(consensus_labels, agreement_flags):
-    """(labels, agreed mask) of a batch's consensus labels and 0/1 agreement flags."""
-    labels = np.asarray(consensus_labels, dtype=np.int64)
-    return labels, np.asarray(agreement_flags, dtype=np.int64) == 1
-
-
 class AutoencoderMember:
     """One ensemble member: encoder f, decoder g, classifier h over a shared latent."""
 
@@ -203,7 +197,8 @@ class AutoencoderMember:
         """
         batch = np.asarray(batch, dtype=np.float64)
         latent = np.asarray(latent, dtype=np.float64)
-        labels, agreed = _targets(consensus_labels, agreement_flags)
+        labels = np.asarray(consensus_labels, dtype=np.int64)
+        agreed = np.asarray(agreement_flags, dtype=bool)
         return self._head_loss(latent, batch, labels, agreed, recon_weight)[0]
 
     def forward_loss(
@@ -216,12 +211,14 @@ class AutoencoderMember:
     ) -> float:
         """This member's share of the combined objective; caches for backward.
 
-        Returns (1/B) * [ sum_{a_i=1} CE_i + w * sum_{a_i=0} (1/n) |rec_i - x_i|_1 ].
-        With a noise_seed, as in training, the latent codes get seeded Gaussian
+        Returns (1/B) * [ sum_{a_i} CE_i + w * sum_{not a_i} (1/n) |rec_i - x_i|_1 ]
+        over the boolean agreement mask a (0/1 integers read the same).  With
+        a noise_seed, as in training, the latent codes get seeded Gaussian
         noise of the member's noise_stddev; None means no noise.
         """
         batch = np.asarray(batch, dtype=np.float64)
-        labels, agreed = _targets(consensus_labels, agreement_flags)
+        labels = np.asarray(consensus_labels, dtype=np.int64)
+        agreed = np.asarray(agreement_flags, dtype=bool)
 
         enc_cache: list = []
         latent = self.encoder.forward(batch, cache=enc_cache)

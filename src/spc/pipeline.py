@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import Labelling, gmm_fit, gmm_predict, kmeans_fit
-from .consensus import ConsensusResult, _matching, consensus
+from .consensus import ConsensusResult, _aligned_correct, _matching, consensus
 # unused here, but perfbench/trace.py wraps pipeline.hungarian, so the name must resolve
 from .consensus import hungarian  # noqa: F401
 from .data import Dataset
@@ -307,11 +307,6 @@ def _cluster(latents: np.ndarray, n_clusters: int, seed: int, kind: str) -> Labe
     return gmm_predict(model, latents)
 
 
-def _aligned_correct(predicted: np.ndarray, truth: np.ndarray, n_clusters: int) -> np.ndarray:
-    """Pointwise correctness under the accuracy-maximizing label permutation."""
-    return _matching(predicted, truth, n_clusters)[predicted] == truth
-
-
 def _rename_to_previous(result: ConsensusResult, previous: np.ndarray, n_clusters: int) -> ConsensusResult:
     """Permute cluster ids to best match the previous iteration's consensus.
 
@@ -411,13 +406,12 @@ def spc_train(
         result = consensus(labellings, C)
         if previous is not None:
             result = _rename_to_previous(result, previous.consensus_labels, C)
-        flags = result.agreement.astype(np.int64)
         mean_loss = combined_loss(
             members,
             latents,
             points,
             result.consensus_labels,
-            flags,
+            result.agreement,
             config.recon_weight,
             workers,
         ) / len(members)
@@ -446,7 +440,7 @@ def spc_train(
             break
 
         _train_members(
-            members, train_rngs, points, result.consensus_labels, flags, config, workers,
+            members, train_rngs, points, result.consensus_labels, result.agreement, config, workers,
             epochs=config.loop_epochs, learning_rate=config.loop_learning_rate, freeze_decoder=True,
         )
 

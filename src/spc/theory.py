@@ -15,12 +15,13 @@ and with different labels by -eta*w'*(x-x').  The checks cover:
   - the sign result d_T > d_F for pairwise correct vs incorrect updates.
 
 The u/v inequalities hold as stated for distributions with vanishing odd
-third moments; all built-in samplers are symmetric (x ~ -x), which is
+third moments; all default samplers are symmetric (x ~ -x), which is
 sufficient.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -106,61 +107,38 @@ def entropy_grid() -> list:
 
 
 # ---- samplers -------------------------------------------------------------
-# All built-ins are symmetric about the origin so the odd-moment terms in the
-# u_same / u_diff expansion vanish and the stated bound applies.
+# Each draws ``size`` points in ``dim`` dimensions.  All default samplers are
+# symmetric about the origin, so the odd-moment terms in the u_same / u_diff
+# expansion vanish and the stated bound applies.
 
 
-def two_point(v) -> callable:
-    v = np.asarray(v, dtype=np.float64)
-
-    def sample(rng: np.random.Generator, size: int) -> np.ndarray:
-        signs = rng.choice([-1.0, 1.0], size=size)
-        return signs[:, None] * v
-
-    return sample
+def _two_point(rng: np.random.Generator, size: int, dim: int) -> np.ndarray:
+    signs = rng.choice([-1.0, 1.0], size=size)
+    return signs[:, None] * np.eye(1, dim)[0]
 
 
-def gauss_pair(mu, sigma: float) -> callable:
-    mu = np.asarray(mu, dtype=np.float64)
-
-    def sample(rng, size):
-        signs = rng.choice([-1.0, 1.0], size=size)
-        return signs[:, None] * mu + sigma * rng.standard_normal((size, mu.shape[0]))
-
-    return sample
+def _gauss_pair(rng, size, dim):
+    signs = rng.choice([-1.0, 1.0], size=size)
+    return signs[:, None] * np.full(dim, 0.5) + 0.5 * rng.standard_normal((size, dim))
 
 
-def uniform_cube(dim: int) -> callable:
-    def sample(rng, size):
-        return rng.uniform(-1.0, 1.0, size=(size, dim))
-
-    return sample
+def _uniform_cube(rng, size, dim):
+    return rng.uniform(-1.0, 1.0, size=(size, dim))
 
 
-def rademacher(dim: int) -> callable:
-    def sample(rng, size):
-        return rng.choice([-1.0, 1.0], size=(size, dim))
-
-    return sample
+def _rademacher(rng, size, dim):
+    return rng.choice([-1.0, 1.0], size=(size, dim))
 
 
-def sphere_shell(dim: int) -> callable:
-    def sample(rng, size):
-        g = rng.standard_normal((size, dim))
-        norms = np.sqrt((g**2).sum(axis=1, keepdims=True))
-        return g / norms
-
-    return sample
+def _sphere_shell(rng, size, dim):
+    g = rng.standard_normal((size, dim))
+    norms = np.sqrt((g**2).sum(axis=1, keepdims=True))
+    return g / norms
 
 
-def constant_point(v) -> callable:
-    """Degenerate single-point sampler; experiments must reject it."""
-    v = np.asarray(v, dtype=np.float64)
-
-    def sample(rng, size):
-        return np.tile(v, (size, 1))
-
-    return sample
+def _constant_point(rng, size, dim):
+    """Degenerate: every point is (0.5, ..., 0.5); experiments must reject it."""
+    return np.tile(np.full(dim, 0.5), (size, 1))
 
 
 def _draw_sets(sampler, n_samples: int, seed: int, n_sets: int) -> list:
@@ -323,15 +301,15 @@ def theorem_experiment(dataset: TheoryDataset, model: LinearModel, n_trials: int
 # ---- full suite -----------------------------------------------------------
 
 
-# every sampler a name can pick, built for a dimension; all but the last
+# every sampler a name can pick, as sample(rng, size, dim); all but the last
 # are the defaults
 SAMPLERS = {
-    "two_point": lambda dim: two_point(np.eye(1, dim)[0]),
-    "gauss_pair": lambda dim: gauss_pair(np.full(dim, 0.5), 0.5),
-    "uniform_cube": uniform_cube,
-    "rademacher": rademacher,
-    "sphere_shell": sphere_shell,
-    "constant_point": lambda dim: constant_point(np.full(dim, 0.5)),
+    "two_point": _two_point,
+    "gauss_pair": _gauss_pair,
+    "uniform_cube": _uniform_cube,
+    "rademacher": _rademacher,
+    "sphere_shell": _sphere_shell,
+    "constant_point": _constant_point,
 }
 DEFAULT_SAMPLERS = tuple(SAMPLERS)[:-1]
 
@@ -436,7 +414,7 @@ def run_theory_suite(
     model = LinearModel(
         w=0.3 * model_rng.standard_normal(dim), w_prime=float(w_prime), eta=float(eta)
     )
-    built = {name: SAMPLERS[name](dim) for name in samplers}
+    built = {name: functools.partial(SAMPLERS[name], dim=dim) for name in samplers}
     # two seeds per sampler, then one for lemma 3 and one for the theorem
     seeds = [
         int(child.generate_state(1, dtype=np.uint64)[0])

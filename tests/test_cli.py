@@ -167,6 +167,16 @@ def test_coerce_section_types():
     assert out["clusterer"] == "gmm"
 
 
+def test_coerce_section_integers_stop_at_int64():
+    top = 2**63 - 1
+    assert coerce_section("blobs", {"seed": str(top)}, DEFAULTS["blobs"])["seed"] == top
+    for raw in ({"seed": str(top + 1)}, {"seed": str(-top - 2)}):
+        with pytest.raises(ConfigError, match=r"bad value for seed in \[blobs\]"):
+            coerce_section("blobs", raw, DEFAULTS["blobs"])
+    with pytest.raises(ConfigError, match=r"bad value for hidden_widths in \[spc\]"):
+        coerce_section("spc", {"hidden_widths": f"8, {top + 1}"}, DEFAULTS["spc"])
+
+
 def test_coerce_section_loop_rate_number():
     out = coerce_section("spc", {"loop_learning_rate": "0.02"}, DEFAULTS["spc"])
     assert out["loop_learning_rate"] == 0.02
@@ -236,6 +246,13 @@ def test_read_label_csv_rejects_empty(tmp_path):
 def test_read_label_csv_rejects_garbage(tmp_path):
     path = write(tmp_path / "a.csv", "0\nbanana\n")
     with pytest.raises(DataError):
+        _read_label_csv(path)
+
+
+@pytest.mark.parametrize("text", ["0\n99999999999999999999\n", "0,0\n1,99999999999999999999\n"])
+def test_read_label_csv_rejects_label_past_int64(tmp_path, text):
+    path = write(tmp_path / "a.csv", text)
+    with pytest.raises(DataError, match="malformed label row"):
         _read_label_csv(path)
 
 
@@ -316,6 +333,8 @@ def test_run_malformed_config_leaves_nothing(tmp_path):
         ("run", "[spc]\nloop_learning_rate =\n", "bad value for loop_learning_rate"),
         ("verify-theory", "[spc]\nbogus = 1\n", "unknown key 'bogus' in [spc]"),
         ("verify-theory", "[blobs]\nseed = x\n", "bad value for seed in [blobs]"),
+        ("run", "[spc]\nlatent_dim = 10000000000000000000\n", "bad value for latent_dim"),
+        ("verify-theory", "[theory]\ndim = 10000000000000000000\n", "bad value for dim"),
     ],
 )
 def test_every_command_checks_every_section(tmp_path, capsys, command, ini, message):

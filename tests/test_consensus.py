@@ -323,6 +323,15 @@ def test_rand_index_random_vs_pair_oracle():
         assert rand_index(pred, truth) == pytest.approx(agree / 300, abs=1e-12)
 
 
+@pytest.mark.parametrize("metric", [accuracy, nmi, rand_index])
+def test_metrics_refuse_labellings_of_different_lengths(metric):
+    short = Labelling(labels=np.array([0, 1, 1]), n_clusters=2)
+    long = Labelling(labels=np.array([0, 1, 1, 0]), n_clusters=2)
+    for pred, truth in ((short, long), (long, short)):
+        with pytest.raises(DataError, match="same points"):
+            metric(pred, truth)
+
+
 def test_rand_index_needs_two_points():
     a = Labelling(labels=np.array([0]), n_clusters=1)
     with pytest.raises(DataError):

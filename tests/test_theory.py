@@ -5,6 +5,7 @@ built on finite samplers: a two-valued sampler makes every expectation a
 small average that the tests compute longhand.
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -17,19 +18,13 @@ from spc.theory import (
     DEFAULT_SAMPLERS,
     SAMPLERS,
     check_settings,
-    constant_point,
     entropy_curve,
-    gauss_pair,
     lemma1_experiment,
     lemma2_experiment,
     lemma3_check,
-    rademacher,
     run_theory_suite,
     separable_two_cluster_dataset,
-    sphere_shell,
     theorem_experiment,
-    two_point,
-    uniform_cube,
 )
 
 
@@ -126,13 +121,36 @@ def _enum_u_stats(v: np.ndarray, model: LinearModel):
     return u_same, u_diff, u_diff - u_same, bound
 
 
+def _two_point(v: np.ndarray):
+    """Symmetric sampler over {-v, +v} with equal probability."""
+
+    def sample(rng, size):
+        return rng.choice([-1.0, 1.0], size=size)[:, None] * v
+
+    return sample
+
+
+def _constant(v: np.ndarray):
+    """Degenerate sampler: every point is v."""
+
+    def sample(rng, size):
+        return np.tile(v, (size, 1))
+
+    return sample
+
+
+def _named(name: str, dim: int):
+    """SAMPLERS[name] with its dimension bound, as the suite builds it."""
+    return functools.partial(SAMPLERS[name], dim=dim)
+
+
 def test_lemma1_matches_enumeration():
     v = np.array([1.0, -0.5, 2.0])
     model = LinearModel(w=np.array([0.3, 1.1, -0.7]), w_prime=1.3, eta=0.05)
     exact_same, exact_diff, exact_gap, exact_bound = _enum_u_stats(v, model)
     # the enumerated values themselves must satisfy the claimed inequality
     assert exact_gap >= exact_bound > 0.0
-    res = lemma1_experiment(two_point(v), model, 100_000, seed=5)
+    res = lemma1_experiment(_two_point(v), model, 100_000, seed=5)
     assert res["u_same"] == pytest.approx(exact_same, abs=6 * res["u_same_stderr"])
     assert res["u_diff"] == pytest.approx(exact_diff, abs=6 * res["u_diff_stderr"])
     assert res["gap"] == pytest.approx(exact_gap, abs=6 * res["gap_stderr"])
@@ -141,7 +159,7 @@ def test_lemma1_matches_enumeration():
 
 def test_lemma1_eta_zero_exact_equality():
     model = LinearModel(w=np.array([0.4, -0.9]), w_prime=1.0, eta=0.0)
-    res = lemma1_experiment(uniform_cube(2), model, 10_000, seed=0)
+    res = lemma1_experiment(_named("uniform_cube", 2), model, 10_000, seed=0)
     assert res["gap"] == 0.0
     assert res["bound"] == 0.0
     assert not res["applicable"]
@@ -151,7 +169,7 @@ def test_lemma1_eta_zero_exact_equality():
 def test_lemma1_rejects_degenerate_sampler():
     model = LinearModel(w=np.ones(2), w_prime=1.0, eta=0.1)
     with pytest.raises(DataError):
-        lemma1_experiment(constant_point(np.array([1.0, 2.0])), model, 10_000, seed=0)
+        lemma1_experiment(_constant(np.array([1.0, 2.0])), model, 10_000, seed=0)
 
 
 SUITE_SETTINGS = dict(dim=2, eta=0.1, w_prime=1.0, n_samples=10_000, n_trials=2, seed=0)
@@ -180,15 +198,15 @@ def test_check_settings_rejects_each_out_of_range_setting(key, value, message):
 
 def test_lemma1_deterministic_in_seed():
     model = LinearModel(w=np.array([0.2, -0.4]), w_prime=0.7, eta=0.05)
-    a = lemma1_experiment(rademacher(2), model, 10_000, seed=9)
-    b = lemma1_experiment(rademacher(2), model, 10_000, seed=9)
+    a = lemma1_experiment(_named("rademacher", 2), model, 10_000, seed=9)
+    b = lemma1_experiment(_named("rademacher", 2), model, 10_000, seed=9)
     assert a == b
 
 
 def test_lemma1_holds_for_default_samplers():
     model = LinearModel(w=np.array([0.1, -0.2, 0.15, 0.05]), w_prime=1.0, eta=0.05)
-    for name, sampler in {name: SAMPLERS[name](4) for name in DEFAULT_SAMPLERS}.items():
-        res = lemma1_experiment(sampler, model, 50_000, seed=11)
+    for name in DEFAULT_SAMPLERS:
+        res = lemma1_experiment(_named(name, 4), model, 50_000, seed=11)
         assert res["passed"], name
 
 
@@ -233,7 +251,7 @@ def test_lemma2_matches_enumeration():
 
 def test_lemma2_eta_zero_exact_equality():
     model = LinearModel(w=np.array([0.4, -0.9]), w_prime=1.0, eta=0.0)
-    res = lemma2_experiment(sphere_shell(2), model, 10_000, seed=3)
+    res = lemma2_experiment(_named("sphere_shell", 2), model, 10_000, seed=3)
     assert res["delta"] == 0.0
     assert not res["applicable"]
     assert res["passed"]
@@ -241,15 +259,15 @@ def test_lemma2_eta_zero_exact_equality():
 
 def test_lemma2_holds_for_default_samplers():
     model = LinearModel(w=np.array([0.1, -0.2, 0.15, 0.05]), w_prime=1.0, eta=0.05)
-    for name, sampler in {name: SAMPLERS[name](4) for name in DEFAULT_SAMPLERS}.items():
-        res = lemma2_experiment(sampler, model, 50_000, seed=13)
+    for name in DEFAULT_SAMPLERS:
+        res = lemma2_experiment(_named(name, 4), model, 50_000, seed=13)
         assert res["passed"], name
 
 
 def test_lemma2_rejects_degenerate_sampler():
     model = LinearModel(w=np.ones(2), w_prime=1.0, eta=0.1)
     with pytest.raises(DataError):
-        lemma2_experiment(constant_point(np.zeros(2)), model, 10_000, seed=0)
+        lemma2_experiment(_constant(np.zeros(2)), model, 10_000, seed=0)
 
 
 # ---- variance decomposition identity --------------------------------------
@@ -386,22 +404,19 @@ def test_separable_dataset_is_symmetric():
 
 def test_samplers_shapes_and_support():
     rng = np.random.default_rng(0)
-    v = np.array([1.0, 2.0])
-    x = two_point(v)(rng, 100)
+    x = SAMPLERS["two_point"](rng, 100, 2)
     assert x.shape == (100, 2)
-    assert set(np.unique(x[:, 0])) <= {-1.0, 1.0}
-    x = rademacher(3)(rng, 50)
-    assert set(np.unique(x)) <= {-1.0, 1.0}
-    x = uniform_cube(2)(rng, 200)
+    assert set(np.unique(x[:, 0])) == {-1.0, 1.0} and (x[:, 1] == 0.0).all()
+    x = SAMPLERS["rademacher"](rng, 50, 3)
+    assert x.shape == (50, 3) and set(np.unique(x)) <= {-1.0, 1.0}
+    x = SAMPLERS["uniform_cube"](rng, 200, 2)
     assert x.shape == (200, 2) and np.abs(x).max() <= 1.0
-    x = sphere_shell(4)(rng, 200)
+    x = SAMPLERS["sphere_shell"](rng, 200, 4)
     np.testing.assert_allclose(np.linalg.norm(x, axis=1), 1.0, rtol=1e-12)
-    x = gauss_pair(np.array([3.0, 0.0]), 0.1)(rng, 500)
+    x = SAMPLERS["gauss_pair"](rng, 500, 2)
     assert x.shape == (500, 2)
-    # two well-separated modes at +-mu
-    assert (np.abs(np.abs(x[:, 0]) - 3.0) < 1.0).all()
-    x = constant_point(v)(rng, 10)
-    assert np.array_equal(x, np.tile(v, (10, 1)))
+    x = SAMPLERS["constant_point"](rng, 10, 3)
+    assert np.array_equal(x, np.full((10, 3), 0.5))
 
 
 # ---- full suite -----------------------------------------------------------
