@@ -110,6 +110,17 @@ def _check_ranges(sections: dict) -> None:
     check_settings(**sections["theory"])  # ConfigError
 
 
+def int64(text: str) -> int:
+    """``text`` as a base-10 integer; ValueError unless it fits in a signed 64-bit integer.
+
+    The one integer rule, for config values and for ``--seed``.
+    """
+    value = int(text, 10)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"{text} does not fit in a signed 64-bit integer")
+    return value
+
+
 def _parse_value(section: str, key: str, text: str, default):
     """The value of ``text`` as the type of ``default``; an integer must fit in int64."""
     text = text.strip()
@@ -120,10 +131,7 @@ def _parse_value(section: str, key: str, text: str, default):
                 raise ValueError(f"not a boolean: {text!r}")
             return configparser.ConfigParser.BOOLEAN_STATES[word]
         if isinstance(default, int):
-            value = int(text, 10)
-            if not -(2**63) <= value < 2**63:
-                raise ValueError(f"{text} does not fit in a signed 64-bit integer")
-            return value
+            return int64(text)
         if isinstance(default, float):
             return float(text)
         if isinstance(default, tuple):
@@ -419,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="member threads, >= 1 (default: min(n_members, cores)); outputs do not depend on it",
     )
-    run.add_argument("--seed", type=int, default=None, help="override [spc] master_seed")
+    run.add_argument("--seed", type=int64, default=None, help="override [spc] master_seed")
     run.set_defaults(func=cmd_run)
 
     ev = sub.add_parser("eval", help="score a predicted labelling against ground truth")
@@ -430,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify-theory", help="run the numerical theory checks")
     verify.add_argument("--config", default=None, help="INI config file; omit for defaults")
     verify.add_argument("--out", required=True, help="output directory (must not exist)")
-    verify.add_argument("--seed", type=int, default=None, help="override [theory] seed")
+    verify.add_argument("--seed", type=int64, default=None, help="override [theory] seed")
     verify.set_defaults(func=cmd_verify_theory)
     return parser
 

@@ -165,14 +165,14 @@ def _lloyd(x: np.ndarray, C: int, rng: np.random.Generator):
 
     Returns (inertia, centroids, assign).  The inertia pairs the final
     assignment with the centroids that produced it, which at the
-    KMEANS_MAX_ITERS exit are those before the last update.  Each step
-    assigns through _nearest (the GEMM expansion with every near tie
-    recomputed exactly) and updates the centroids from one bincount; the
-    inertia sums each point's own distance by the direct formula.  So
-    labels, inertia and centroids equal those of the direct per-pair,
-    per-cluster formulas bit for bit.
+    KMEANS_MAX_ITERS exit are those before the last update.  _nearest (the
+    GEMM expansion with every near tie recomputed exactly) is the one
+    assignment routine: each step assigns through it, and so does every
+    empty-cluster reseed.  Each step updates the centroids from one
+    bincount; the reseed and the inertia take each point's own distance by
+    the direct formula.  So labels, inertia and centroids equal those of
+    the direct per-pair, per-cluster formulas bit for bit.
     """
-    N = x.shape[0]
     with np.errstate(over="ignore"):
         xx = (x * x).sum(axis=1)
     centroids = _kmeanspp_seed(x, C, rng)
@@ -182,16 +182,13 @@ def _lloyd(x: np.ndarray, C: int, rng: np.random.Generator):
         assign = _nearest(x, xx, centroids)
         counts = np.bincount(assign, minlength=C)
         if not counts.all():
-            # rare: reseed empty clusters one by one on exact distances
-            d2 = _sq_dists(x, centroids)
-            own = d2[np.arange(N), assign]
+            # rare: reseed empty clusters one by one, each to the point
+            # farthest from its own centroid, and reassign
             for c in range(C):
                 if not (assign == c).any():
-                    far = own.argmax()
-                    centroids[c] = x[far]
-                    d2[:, c] = ((x - centroids[c]) ** 2).sum(axis=1)
-                    assign = d2.argmin(axis=1)
-                    own = d2[np.arange(N), assign]
+                    own = ((x - centroids.take(assign, axis=0)) ** 2).sum(axis=1)
+                    centroids[c] = x[own.argmax()]
+                    assign = _nearest(x, xx, centroids)
             counts = np.bincount(assign, minlength=C)
         if prev is not None and (assign == prev).all():
             break
@@ -208,8 +205,9 @@ def kmeans_fit(latents: np.ndarray, C: int, seed: int):
     Each restart runs to an assignment fixpoint or KMEANS_MAX_ITERS and the
     solution with the lowest inertia wins (first found on ties).  Clusters
     left empty by an assignment step are reseeded to the point currently
-    farthest from its own centroid, which strictly lowers inertia.
-    Assignment uses the GEMM expansion and recomputes every near tie with
+    farthest from its own centroid, which strictly lowers inertia unless
+    every point already sits on a centroid (then the cluster may stay
+    empty, as with fewer distinct points than C).  Assignment uses the GEMM expansion and recomputes every near tie with
     the direct formula, so labels equal those of the direct squared
     distances bit for bit and BLAS never decides a label.  The latents must
     be finite and at least C, as every member's encoding of a Dataset is.

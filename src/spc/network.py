@@ -8,7 +8,7 @@ cross-entropy term on points whose pseudo-label is trusted and an l1
 reconstruction term on the rest.  The trust is a boolean agreement mask a:
 
     L = (1/N) sum_i sum_j [ a_i true:   CE(h_j(f_j(x_i)), c_i)
-                            a_i false:  w * (1/n) |g_j(f_j(x_i)) - x_i|_1 ]
+                            a_i false:  (1/n) |g_j(f_j(x_i)) - x_i|_1 ]
 
 Gradients are computed analytically layer by layer; tests hold them to
 central finite differences.
@@ -129,8 +129,6 @@ class AutoencoderMember:
         noise_stddev: float,
         hidden_widths,
     ):
-        if min(input_dim, latent_dim, n_clusters) < 1:
-            raise SpcError("dims must be positive")
         if not (np.isfinite(noise_stddev) and noise_stddev >= 0):
             raise SpcError("noise_stddev must be non-negative and finite")
         rng = np.random.default_rng(seed)
@@ -157,9 +155,7 @@ class AutoencoderMember:
 
     # ---- loss with cached forward ----
 
-    def _head_loss(
-        self, latent, batch, labels, agreed, recon_weight, dec_cache=None, cls_cache=None
-    ):
+    def _head_loss(self, latent, batch, labels, agreed, dec_cache=None, cls_cache=None):
         """The loss of the decoder and classifier heads on given latent codes.
 
         Returns (loss, diff, p_t): diff = rec - batch on the rows that are not
@@ -180,7 +176,7 @@ class AutoencoderMember:
             per_point[agreed] = -np.log(np.maximum(p_t, CE_CLAMP))
         if (~agreed).any():
             diff = rec[~agreed] - batch[~agreed]
-            per_point[~agreed] = recon_weight * np.abs(diff).sum(axis=1) / n
+            per_point[~agreed] = np.abs(diff).sum(axis=1) / n
         return float(per_point.sum() / B), diff, p_t
 
     def latent_loss(
@@ -189,7 +185,6 @@ class AutoencoderMember:
         batch: np.ndarray,
         consensus_labels: np.ndarray,
         agreement_flags: np.ndarray,
-        recon_weight: float = 1.0,
     ) -> float:
         """forward_loss of a batch whose latent codes are given; caches nothing.
 
@@ -199,7 +194,7 @@ class AutoencoderMember:
         latent = np.asarray(latent, dtype=np.float64)
         labels = np.asarray(consensus_labels, dtype=np.int64)
         agreed = np.asarray(agreement_flags, dtype=bool)
-        return self._head_loss(latent, batch, labels, agreed, recon_weight)[0]
+        return self._head_loss(latent, batch, labels, agreed)[0]
 
     def forward_loss(
         self,
@@ -207,11 +202,10 @@ class AutoencoderMember:
         consensus_labels: np.ndarray,
         agreement_flags: np.ndarray,
         noise_seed: int | None = None,
-        recon_weight: float = 1.0,
     ) -> float:
         """This member's share of the combined objective; caches for backward.
 
-        Returns (1/B) * [ sum_{a_i} CE_i + w * sum_{not a_i} (1/n) |rec_i - x_i|_1 ]
+        Returns (1/B) * [ sum_{a_i} CE_i + sum_{not a_i} (1/n) |rec_i - x_i|_1 ]
         over the boolean agreement mask a (0/1 integers read the same).  With
         a noise_seed, as in training, the latent codes get seeded Gaussian
         noise of the member's noise_stddev; None means no noise.
@@ -227,14 +221,11 @@ class AutoencoderMember:
             latent = latent + self.noise_stddev * noise_rng.standard_normal(latent.shape)
         dec_cache: list = []
         cls_cache: list = []
-        loss, diff, p_t = self._head_loss(
-            latent, batch, labels, agreed, recon_weight, dec_cache, cls_cache
-        )
+        loss, diff, p_t = self._head_loss(latent, batch, labels, agreed, dec_cache, cls_cache)
 
         self._cache = {
             "labels": labels,
             "agreed": agreed,
-            "recon_weight": float(recon_weight),
             "enc_cache": enc_cache,
             "dec_cache": dec_cache,
             "cls_cache": cls_cache,
@@ -255,12 +246,11 @@ class AutoencoderMember:
         c = self._cache
         labels, agreed, diff, p_t = c["labels"], c["agreed"], c["diff"], c["p_t"]
         B, n = agreed.shape[0], self.input_dim
-        w = c["recon_weight"]
 
-        # decoder branch: dL/drec = w/(B n) sign(diff), nonzero only on non-agreed rows
+        # decoder branch: dL/drec = sign(diff) / (B n), nonzero only on non-agreed rows
         grad_rec = np.zeros((B, n))
         if diff is not None:
-            grad_rec[~agreed] = (w / (B * n)) * np.sign(diff)
+            grad_rec[~agreed] = (1.0 / (B * n)) * np.sign(diff)
         dec_grads, grad_latent = self.decoder.backward(
             c["dec_cache"], grad_rec, param_grads=train_decoder
         )

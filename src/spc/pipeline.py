@@ -63,7 +63,6 @@ class SpcConfig:
     master_seed: int = 0
     clusterer: str = "kmeans"
     batch_size: int = 128
-    recon_weight: float = 1.0
     concat_member: bool = False
     hidden_widths: tuple = (256, 128)
 
@@ -92,8 +91,6 @@ class SpcConfig:
             raise ConfigError(f"clusterer must be one of {CLUSTERERS}, got {self.clusterer!r}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if not (np.isfinite(self.recon_weight) and self.recon_weight >= 0):
-            raise ConfigError("recon_weight must be non-negative and finite")
         object.__setattr__(self, "hidden_widths", tuple(int(w) for w in self.hidden_widths))
         if any(w < 1 for w in self.hidden_widths):
             raise ConfigError("hidden widths must be positive")
@@ -259,9 +256,7 @@ def train_epoch(
     for start in range(0, n, config.batch_size):
         idx = order[start : start + config.batch_size]
         noise_seed = int(rng.integers(2**63))
-        member.forward_loss(
-            points[idx], labels[idx], flags[idx], noise_seed=noise_seed, recon_weight=config.recon_weight
-        )
+        member.forward_loss(points[idx], labels[idx], flags[idx], noise_seed=noise_seed)
         member.sgd_step(member.backward(train_decoder=not freeze_decoder), learning_rate)
 
 
@@ -325,7 +320,6 @@ def combined_loss(
     batch: np.ndarray,
     consensus_labels: np.ndarray,
     agreement_flags: np.ndarray,
-    recon_weight: float = 1.0,
     workers: int | None = None,
 ) -> float:
     """The objective summed over members, evaluated noise-free.
@@ -336,7 +330,7 @@ def combined_loss(
     fan-out; the sum is taken in member order.
     """
     tasks = [
-        lambda m=m, z=z: m.latent_loss(z, batch, consensus_labels, agreement_flags, recon_weight)
+        lambda m=m, z=z: m.latent_loss(z, batch, consensus_labels, agreement_flags)
         for m, z in zip(members, latents)
     ]
     return float(sum(_fan_out(tasks, workers)))
@@ -412,7 +406,6 @@ def spc_train(
             points,
             result.consensus_labels,
             result.agreement,
-            config.recon_weight,
             workers,
         ) / len(members)
         agreed_acc = overall_acc = None

@@ -335,6 +335,7 @@ def test_run_malformed_config_leaves_nothing(tmp_path):
         ("verify-theory", "[blobs]\nseed = x\n", "bad value for seed in [blobs]"),
         ("run", "[spc]\nlatent_dim = 10000000000000000000\n", "bad value for latent_dim"),
         ("verify-theory", "[theory]\ndim = 10000000000000000000\n", "bad value for dim"),
+        ("run", "[spc]\nrecon_weight = 1.0\n", "unknown key 'recon_weight' in [spc]"),
     ],
 )
 def test_every_command_checks_every_section(tmp_path, capsys, command, ini, message):
@@ -396,6 +397,16 @@ def test_run_negative_seed_exits_cleanly(tmp_path, capsys, extra_ini, flags, cod
     assert main(["run", "--config", cfg, "--out", out] + flags) == code
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "seed must be >= 0" in err[0]
+    assert not os.path.exists(out)
+    assert no_stage_leftovers(tmp_path)
+
+
+@pytest.mark.parametrize("command", ["run", "verify-theory"])
+def test_seed_flag_past_int64_exits_1(tmp_path, capsys, command):
+    # the config file's integer rule: 2^63 - 1 is the largest seed
+    out = run_dir(tmp_path)
+    assert main([command, "--out", out, "--seed", "99999999999999999999"]) == EXIT_CONFIG
+    assert one_line_error(capsys, "config error: argument --seed: invalid int64 value")
     assert not os.path.exists(out)
     assert no_stage_leftovers(tmp_path)
 

@@ -224,6 +224,68 @@ def test_fits_report_overflowing_seeding_distances_as_numeric(fit):
             fit(x, 2, seed=0)
 
 
+def reference_lloyd(x, C, rng):
+    """A Lloyd restart whose empty-cluster reseed reads an exact N x C distance table.
+
+    The reseed spelled out on the full table _nearest stands for: every
+    empty cluster in id order moves to the point farthest from its own
+    centroid, the table's column is recomputed and the labels are its
+    argmin.  Returns (inertia, centroids, assign, the most clusters
+    reseeded in one step).
+    """
+    N = x.shape[0]
+    with np.errstate(over="ignore"):
+        xx = (x * x).sum(axis=1)
+    centroids = clustering._kmeanspp_seed(x, C, rng)
+    prev = None
+    most = 0
+    for _ in range(clustering.KMEANS_MAX_ITERS):
+        used = centroids
+        assign = clustering._nearest(x, xx, centroids)
+        counts = np.bincount(assign, minlength=C)
+        if not counts.all():
+            d2 = clustering._sq_dists(x, centroids)
+            own = d2[np.arange(N), assign]
+            reseeded = 0
+            for c in range(C):
+                if not (assign == c).any():
+                    reseeded += 1
+                    centroids[c] = x[own.argmax()]
+                    d2[:, c] = ((x - centroids[c]) ** 2).sum(axis=1)
+                    assign = d2.argmin(axis=1)
+                    own = d2[np.arange(N), assign]
+            most = max(most, reseeded)
+            counts = np.bincount(assign, minlength=C)
+        if prev is not None and (assign == prev).all():
+            break
+        prev = assign
+        centroids = clustering._cluster_means(x, assign, counts, out=centroids.copy())
+    own = ((x - used.take(assign, axis=0)) ** 2).sum(axis=1)
+    return float(own.sum()), centroids, assign, most
+
+
+def test_lloyd_reseed_equals_the_exact_table_reference_bitwise():
+    # duplicate-heavy integer grids: with fewer distinct points than
+    # clusters, k-means++ repeats centroids and whole groups of clusters
+    # start empty
+    most = []
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        m, C = int(rng.integers(1, 12)), int(rng.integers(2, 25))
+        scale = 10.0 ** int(rng.integers(-6, 7))
+        distinct = rng.integers(-4, 5, (int(rng.integers(1, 2 * C)), m)) * scale
+        x = distinct[rng.integers(0, len(distinct), int(rng.integers(C, 4 * C + 40)))]
+        inertia, centroids, assign = clustering._lloyd(x, C, np.random.default_rng(seed))
+        ref_inertia, ref_centroids, ref_assign, reseeded = reference_lloyd(
+            x, C, np.random.default_rng(seed)
+        )
+        assert np.float64(inertia).tobytes() == np.float64(ref_inertia).tobytes()
+        assert centroids.tobytes() == ref_centroids.tobytes()
+        assert np.array_equal(assign, ref_assign)
+        most.append(reseeded)
+    assert sum(r >= 2 for r in most) >= 10
+
+
 def test_kmeans_empty_cluster_reseeded(monkeypatch):
     # force both initial centroids onto the same point so one cluster starts
     # empty; the reseed must still produce a 2-cluster solution

@@ -21,10 +21,10 @@ def zero_grads(mlp):
     return [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(mlp.weights, mlp.biases)]
 
 
-def member_loss(members, batch, labels, flags, recon_weight=1.0):
+def member_loss(members, batch, labels, flags):
     """combined_loss with the latents encoded here."""
     latents = [m.encode(batch) for m in members]
-    return combined_loss(members, latents, batch, labels, flags, recon_weight)
+    return combined_loss(members, latents, batch, labels, flags)
 
 
 # ---- loss oracles ----
@@ -250,18 +250,6 @@ def test_combined_loss_mixed_hand_oracle():
     assert member_loss(members, batch, labels, flags) == pytest.approx(total / 4, abs=1e-10)
 
 
-def test_combined_loss_recon_weight_scales_recon_branch():
-    rng = np.random.default_rng(14)
-    members = [small_member(seed=8)]
-    batch = rand_batch(rng, b=5)
-    labels = np.zeros(5, dtype=int)
-    zeros = np.zeros(5, dtype=int)
-    base = member_loss(members, batch, labels, zeros, recon_weight=1.0)
-    assert member_loss(members, batch, labels, zeros, recon_weight=2.5) == pytest.approx(
-        2.5 * base, rel=1e-12
-    )
-
-
 def test_branch_exclusivity():
     # agreed points ignore the decoder; non-agreed points ignore the classifier
     rng = np.random.default_rng(15)
@@ -293,13 +281,11 @@ def test_branch_exclusivity():
 # ---- gradients ----
 
 
-def fd_check(member, batch, labels, flags, noise_seed=None, recon_weight=1.0):
+def fd_check(member, batch, labels, flags, noise_seed=None):
     """Assert every analytic gradient matches central finite differences."""
 
     def loss():
-        return member.forward_loss(
-            batch, labels, flags, noise_seed=noise_seed, recon_weight=recon_weight
-        )
+        return member.forward_loss(batch, labels, flags, noise_seed=noise_seed)
 
     loss()
     stepped = dict(member.backward())
@@ -357,17 +343,6 @@ def test_backward_matches_finite_differences_with_noise():
     labels = np.array([1, 0, 2, 2])
     flags = np.array([0, 1, 0, 1])
     fd_check(m, batch, labels, flags, noise_seed=99)
-
-
-def test_backward_matches_finite_differences_weighted():
-    # seed picked so no pre-activation sits within the finite-difference step
-    # of a leaky-ReLU kink
-    rng = np.random.default_rng(82)
-    m = small_member(seed=82)
-    batch = rand_batch(rng, b=4)
-    labels = np.array([1, 0, 2, 2])
-    flags = np.array([0, 1, 1, 0])
-    fd_check(m, batch, labels, flags, recon_weight=0.7)
 
 
 def test_zero_loss_configuration_zero_gradients():
@@ -460,13 +435,14 @@ def test_sgd_descends_on_smooth_batch():
 
 
 def test_backward_rejects_non_finite_gradients():
-    # an infinite reconstruction weight leaves every activation finite, so
-    # forward_loss passes its checks and backward meets the infinity first
+    # a NaN planted in the cached reconstruction difference, after forward_loss
+    # has passed its activation checks, reaches backward's gradient scan first
     rng = np.random.default_rng(30)
     m = small_member(seed=46)
     batch = rand_batch(rng, b=3)
-    m.forward_loss(batch, np.array([0, 2, 1]), np.array([1, 0, 0]), recon_weight=np.inf)
-    with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="non-finite gradient"):
+    m.forward_loss(batch, np.array([0, 2, 1]), np.array([1, 0, 0]))
+    m._cache["diff"][0, 0] = np.nan
+    with pytest.raises(NumericError, match="non-finite gradient"):
         m.backward()
 
 
@@ -556,13 +532,11 @@ def test_latent_loss_equals_forward_loss_and_caches_nothing():
     for flags in (np.zeros(7, dtype=int), np.ones(7, dtype=int), rng.integers(0, 2, size=7)):
         latents = [m.encode(batch) for m in members]
         for m, z in zip(members, latents):
-            assert m.latent_loss(z, batch, labels, flags, 0.7) == m.forward_loss(
-                batch, labels, flags, recon_weight=0.7
-            )
+            assert m.latent_loss(z, batch, labels, flags) == m.forward_loss(batch, labels, flags)
             m.sgd_step(m.backward(), 0.0)
-        expect = sum(m.latent_loss(z, batch, labels, flags, 0.7) for m, z in zip(members, latents))
+        expect = sum(m.latent_loss(z, batch, labels, flags) for m, z in zip(members, latents))
         for workers in (1, 3):
-            assert combined_loss(members, latents, batch, labels, flags, 0.7, workers) == expect
+            assert combined_loss(members, latents, batch, labels, flags, workers) == expect
         assert all(m._cache is None for m in members)
 
 
@@ -620,6 +594,7 @@ def test_checkpoint_keys_in_file_order(tmp_path):
         ("hidden_widths", np.array([0]), "out of range: need >= 2 positive layer widths"),
         ("noise_stddev", np.array(np.nan), "out of range: noise_stddev must be non-negative and finite"),
         ("noise_stddev", np.array(np.inf), "out of range: noise_stddev must be non-negative and finite"),
+        ("meta", np.array([1, 0, 3, 3, 55], dtype=np.uint64), "out of range: need >= 2 positive layer widths"),
     ],
 )
 def test_load_member_rejects_a_foreign_checkpoint(tmp_path, key, value, message):

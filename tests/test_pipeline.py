@@ -97,7 +97,7 @@ def test_config_defaults_valid():
         {"max_iterations": 0},
         {"clusterer": "spectral"},
         {"batch_size": 0},
-        {"recon_weight": -1.0},
+        {"noise_stddev": float("nan")},
         {"hidden_widths": (16, 0)},
         {"master_seed": -1},
     ],
