@@ -9,10 +9,11 @@ verify-theory  run the numerical experiments behind the training objective
 Exit codes: 0 success, 1 configuration error, 2 data error, 3 numeric
 failure, 4 theory claim failure.
 
-The config file is INI-style with optional sections [spc], [blobs], [idx]
-and [theory]; every key has a default, so an empty file (or no --config at
-all) runs the canonical blob experiment.  Every command checks every
-section, including those it does not read: keys, types and value ranges.
+The config file of ``run`` is INI-style with optional sections [spc],
+[blobs] and [idx]; every key has a default, so an empty file (or no --config
+at all) runs the canonical blob experiment.  ``run`` checks every section,
+including those the chosen dataset does not read: keys, types and value
+ranges.  ``verify-theory`` runs its one setting and takes only --seed.
 Runs are staged in a hidden temporary directory and renamed into place only
 on success, so an output directory either exists completely or not at all.
 Metrics are written with sorted keys and floats at 10 significant digits to
@@ -26,7 +27,6 @@ import configparser
 import contextlib
 import csv
 import dataclasses
-import inspect
 import json
 import logging
 import os
@@ -43,7 +43,7 @@ from .data import BlobSpec, load_idx, make_blobs, normalize
 from .errors import ConfigError, DataError, NumericError, SpcError
 from .network import save_member
 from .pipeline import SpcConfig, spc_train
-from .theory import check_settings, entropy_grid, run_theory_suite
+from .theory import entropy_grid, run_theory_suite
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -52,15 +52,11 @@ EXIT_NUMERIC = 3
 EXIT_CLAIM = 4
 
 # Each section's defaults, which also fix its keys and their types.  [idx]
-# n_clusters 0 means "take it from the label file"; [theory] is
-# run_theory_suite's keyword defaults.
+# n_clusters 0 means "take it from the label file".
 DEFAULTS = {
     "spc": dataclasses.asdict(SpcConfig()),
     "blobs": dataclasses.asdict(BlobSpec()),
     "idx": {"n_clusters": 0},
-    "theory": {
-        name: param.default for name, param in inspect.signature(run_theory_suite).parameters.items()
-    },
 }
 
 
@@ -70,7 +66,7 @@ DEFAULTS = {
 def read_config(path: str | None) -> dict:
     """Every section's settings, {section: {key: value}}: the file's over the defaults.
 
-    None reads as an empty file.  Every section is checked, whichever command
+    None reads as an empty file.  Every section is checked, whichever dataset
     reads it: an unknown section or key, or a value of the wrong type, is a
     ConfigError, and an out-of-range value is the error of the section's
     owner (see ``_check_ranges``).
@@ -107,7 +103,6 @@ def _check_ranges(sections: dict) -> None:
     n_clusters = sections["idx"]["n_clusters"]
     if n_clusters != 0 and n_clusters < 2:
         raise DataError(f"n_clusters must be >= 2, or 0 to count the labels; got {n_clusters}")
-    check_settings(**sections["theory"])  # ConfigError
 
 
 def int64(text: str) -> int:
@@ -375,12 +370,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify_theory(args) -> int:
-    th = read_config(args.config)["theory"]
-    if args.seed is not None:
-        th["seed"] = args.seed
-    # an overflow shows up as a non-finite report value, which json_text refuses
-    with np.errstate(over="ignore", invalid="ignore"):
-        report = run_theory_suite(**th)
+    report = run_theory_suite(seed=args.seed)
 
     with _staged(args.out) as (out, stage):
         with open(os.path.join(stage, "theory_report.json"), "w") as f:
@@ -436,9 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.set_defaults(func=cmd_eval)
 
     verify = sub.add_parser("verify-theory", help="run the numerical theory checks")
-    verify.add_argument("--config", default=None, help="INI config file; omit for defaults")
     verify.add_argument("--out", required=True, help="output directory (must not exist)")
-    verify.add_argument("--seed", type=int64, default=None, help="override [theory] seed")
+    verify.add_argument("--seed", type=int64, default=0, help="seed of the Monte Carlo draws")
     verify.set_defaults(func=cmd_verify_theory)
     return parser
 

@@ -163,6 +163,8 @@ def load_idx(images_path, labels_path=None, n_clusters: int | None = None) -> Da
     given when no label file is supplied.
     """
     images = read_idx_images(images_path)
+    if images.shape[0] == 0:
+        raise DataError(f"{images_path}: no images")
     points = images.reshape(images.shape[0], -1).astype(np.float64)
     labels = None
     if labels_path is not None:
@@ -185,9 +187,16 @@ def make_blobs(spec: BlobSpec) -> Dataset:
     Centroid candidates are drawn so their typical pairwise distance is a
     small multiple of ``centroid_separation``; whole configurations violating
     the pairwise floor are rejected and redrawn, up to a fixed attempt cap.
+    Raises MemoryError before allocating anything when the larger float64
+    array (the points, or the centroid differences) needs more bytes than an
+    address space holds.
     """
-    rng = np.random.default_rng(spec.seed)
     C, dim, sep = spec.n_clusters, spec.ambient_dim, spec.centroid_separation
+    per = spec.points_per_cluster
+    n_bytes = 8 * max(C * per, C * C) * dim
+    if n_bytes > np.iinfo(np.intp).max:
+        raise MemoryError(f"{C} blobs of {per} points in {dim} dimensions need {n_bytes} bytes")
+    rng = np.random.default_rng(spec.seed)
     scale = 1.25 * sep / np.sqrt(2.0 * dim)
     for _ in range(CENTROID_ATTEMPTS):
         centroids = scale * rng.standard_normal((C, dim))
@@ -201,7 +210,6 @@ def make_blobs(spec: BlobSpec) -> Dataset:
             f"could not place {C} centroids at pairwise separation {sep} "
             f"within {CENTROID_ATTEMPTS} attempts"
         )
-    per = spec.points_per_cluster
     points = np.repeat(centroids, per, axis=0) + spec.within_cluster_stddev * rng.standard_normal(
         (C * per, dim)
     )

@@ -15,8 +15,9 @@ and with different labels by -eta*w'*(x-x').  The checks cover:
   - the sign result d_T > d_F for pairwise correct vs incorrect updates.
 
 The u/v inequalities hold as stated for distributions with vanishing odd
-third moments; all default samplers are symmetric (x ~ -x), which is
-sufficient.
+third moments; every sampler is symmetric (x ~ -x), which is sufficient.
+``run_theory_suite`` runs them all at one setting, the module constants
+below, and takes only a seed.
 """
 
 from __future__ import annotations
@@ -28,7 +29,13 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 
-MIN_MC_SAMPLES = 10_000
+# the suite's one setting: the model's width and step, the Monte Carlo draws
+# per u/v check and the theorem's trials
+DIM = 4
+ETA = 0.05
+W_PRIME = 1.0
+N_SAMPLES = 100_000
+N_TRIALS = 10_000
 ENTROPY_CLASS_COUNTS = range(2, 21)
 ENTROPY_GRID_POINTS = 100
 
@@ -107,9 +114,9 @@ def entropy_grid() -> list:
 
 
 # ---- samplers -------------------------------------------------------------
-# Each draws ``size`` points in ``dim`` dimensions.  All default samplers are
-# symmetric about the origin, so the odd-moment terms in the u_same / u_diff
-# expansion vanish and the stated bound applies.
+# Each draws ``size`` points in ``dim`` dimensions.  All are symmetric about
+# the origin, so the odd-moment terms in the u_same / u_diff expansion vanish
+# and the stated bound applies.
 
 
 def _two_point(rng: np.random.Generator, size: int, dim: int) -> np.ndarray:
@@ -134,11 +141,6 @@ def _sphere_shell(rng, size, dim):
     g = rng.standard_normal((size, dim))
     norms = np.sqrt((g**2).sum(axis=1, keepdims=True))
     return g / norms
-
-
-def _constant_point(rng, size, dim):
-    """Degenerate: every point is (0.5, ..., 0.5); experiments must reject it."""
-    return np.tile(np.full(dim, 0.5), (size, 1))
 
 
 def _draw_sets(sampler, n_samples: int, seed: int, n_sets: int) -> list:
@@ -301,37 +303,14 @@ def theorem_experiment(dataset: TheoryDataset, model: LinearModel, n_trials: int
 # ---- full suite -----------------------------------------------------------
 
 
-# every sampler a name can pick, as sample(rng, size, dim); all but the last
-# are the defaults
+# the samplers of the u/v checks, as sample(rng, size, dim)
 SAMPLERS = {
     "two_point": _two_point,
     "gauss_pair": _gauss_pair,
     "uniform_cube": _uniform_cube,
     "rademacher": _rademacher,
     "sphere_shell": _sphere_shell,
-    "constant_point": _constant_point,
 }
-DEFAULT_SAMPLERS = tuple(SAMPLERS)[:-1]
-
-
-def check_settings(dim, eta, w_prime, n_samples, n_trials, seed, samplers=DEFAULT_SAMPLERS) -> None:
-    """ConfigError on the first out-of-range setting of run_theory_suite or sampler name.
-
-    LinearModel owns the eta and w_prime rules.  Nothing is built, so a huge
-    dim allocates nothing.
-    """
-    if dim < 1:
-        raise ConfigError(f"dim must be >= 1, got {dim}")
-    LinearModel(w=np.zeros(1), w_prime=w_prime, eta=eta)
-    if n_samples < MIN_MC_SAMPLES:
-        raise ConfigError(f"need at least {MIN_MC_SAMPLES} samples, got {n_samples}")
-    if n_trials < 2:
-        raise ConfigError(f"need at least 2 trials, got {n_trials}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    unknown = [name for name in samplers if name not in SAMPLERS]
-    if unknown:
-        raise ConfigError(f"unknown samplers {unknown}; expected a subset of {sorted(SAMPLERS)}")
 
 
 @dataclass
@@ -377,21 +356,10 @@ def separable_two_cluster_dataset(n_per: int, dim: int, separation: float, seed:
     return TheoryDataset(points=pts, labels=labels, n_clusters=2)
 
 
-def run_theory_suite(
-    dim: int = 4,
-    eta: float = 0.05,
-    w_prime: float = 1.0,
-    n_samples: int = 100_000,
-    n_trials: int = 10_000,
-    seed: int = 0,
-    samplers: tuple = DEFAULT_SAMPLERS,
-) -> TheoryReport:
-    """Run every check and collect a TheoryReport.
-
-    ``samplers`` names the SAMPLERS of the u/v checks.  Claims that are vacuous
-    at eta*w' = 0 are marked not applicable and pass as exact equalities.
-    """
-    check_settings(dim, eta, w_prime, n_samples, n_trials, seed, samplers)
+def run_theory_suite(seed: int = 0) -> TheoryReport:
+    """Run every check at the module's one setting and collect a TheoryReport."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     root = np.random.SeedSequence(seed)
     report = TheoryReport()
 
@@ -411,18 +379,16 @@ def run_theory_suite(
     # Keep |w| modest: the separation signal in the update comparisons grows
     # like eta^2 while the per-sample spread grows like eta*|w|, so a small
     # weight vector buys Monte Carlo resolution at fixed sample counts.
-    model = LinearModel(
-        w=0.3 * model_rng.standard_normal(dim), w_prime=float(w_prime), eta=float(eta)
-    )
-    built = {name: functools.partial(SAMPLERS[name], dim=dim) for name in samplers}
+    model = LinearModel(w=0.3 * model_rng.standard_normal(DIM), w_prime=W_PRIME, eta=ETA)
+    built = {name: functools.partial(sampler, dim=DIM) for name, sampler in SAMPLERS.items()}
     # two seeds per sampler, then one for lemma 3 and one for the theorem
     seeds = [
         int(child.generate_state(1, dtype=np.uint64)[0])
         for child in root.spawn(2 * len(built) + 2)
     ]
     for k, (name, sampler) in enumerate(built.items()):
-        report.lemma1[name] = lemma1_experiment(sampler, model, n_samples, seeds[2 * k])
-        report.lemma2[name] = lemma2_experiment(sampler, model, n_samples, seeds[2 * k + 1])
+        report.lemma1[name] = lemma1_experiment(sampler, model, N_SAMPLES, seeds[2 * k])
+        report.lemma2[name] = lemma2_experiment(sampler, model, N_SAMPLES, seeds[2 * k + 1])
 
     # exact identity on random equal-size datasets
     id_rng = np.random.default_rng(seeds[-2])
@@ -447,6 +413,6 @@ def run_theory_suite(
     }
 
     th_seed = seeds[-1]
-    ds = separable_two_cluster_dataset(n_per=30, dim=dim, separation=4.0, seed=th_seed)
-    report.theorem = theorem_experiment(ds, model, n_trials, th_seed + 1)
+    ds = separable_two_cluster_dataset(n_per=30, dim=DIM, separation=4.0, seed=th_seed)
+    report.theorem = theorem_experiment(ds, model, N_TRIALS, th_seed + 1)
     return report

@@ -34,7 +34,7 @@ def report(number: int, name: str, passed: bool, detail: str = "") -> None:
 
 @pytest.fixture(scope="module")
 def theory_report():
-    return run_theory_suite(n_samples=100_000, n_trials=10_000, seed=0)
+    return run_theory_suite(seed=0)
 
 
 @pytest.fixture(scope="module")

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import shlex
 import time
 
 import numpy as np
@@ -20,6 +21,7 @@ from spc.cli import (
     EXIT_OK,
     DEFAULTS,
     _read_label_csv,
+    build_parser,
     coerce_section,
     json_text,
     main,
@@ -47,13 +49,6 @@ ambient_dim = 8
 centroid_separation = 9.0
 within_cluster_stddev = 0.7
 """
-
-FAST_THEORY_INI = """
-[theory]
-n_samples = 20000
-n_trials = 2000
-"""
-
 
 def write(path, text):
     path.write_text(text)
@@ -87,15 +82,10 @@ def test_read_config_unknown_section(tmp_path):
 
 
 def test_read_config_takes_percent_literally(tmp_path):
-    # the names reach the sampler-name rule as written, not interpolated
-    path = write(tmp_path / "c.ini", "[theory]\nsamplers = a%b, %(x)s\n")
-    with pytest.raises(ConfigError, match=re.escape("unknown samplers ['a%b', '%(x)s']")):
+    # the name reaches the clusterer rule as written, not interpolated
+    path = write(tmp_path / "c.ini", "[spc]\nclusterer = a%b\n")
+    with pytest.raises(ConfigError, match=re.escape("got 'a%b'")):
         read_config(path)
-
-
-def test_read_config_builds_no_sampler_for_a_huge_dim(tmp_path):
-    path = write(tmp_path / "c.ini", "[theory]\ndim = 1000000000000000\n")
-    assert read_config(path)["theory"]["dim"] == 10**15
 
 
 CONFIG_LINES = st.one_of(
@@ -199,6 +189,23 @@ def test_readme_config_block_parses_to_the_defaults(tmp_path):
         s: set(d) for s, d in DEFAULTS.items()
     }
     assert read_config(path) == DEFAULTS
+
+
+def test_readme_cli_lines_parse():
+    # every `spc` line of the README's sh blocks, continuations joined and
+    # trailing comments dropped, is a command line the parser accepts
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme, encoding="utf-8") as f:
+        blocks = re.findall(r"```sh\n(.*?)```", f.read(), flags=re.S)
+    lines = [
+        line
+        for block in blocks
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("spc ")
+    ]
+    assert any(line.startswith("spc verify-theory") for line in lines)
+    for line in lines:
+        build_parser().parse_args(shlex.split(line, comments=True)[1:])
 
 
 def test_json_text_formatting():
@@ -327,14 +334,11 @@ def test_run_malformed_config_leaves_nothing(tmp_path):
 @pytest.mark.parametrize(
     "command, ini, message",
     [
-        ("run", "[theory]\nfoo = 2\n", "unknown key 'foo' in [theory]"),
+        ("run", "[theory]\nfoo = 2\n", "unknown config section [theory]"),
         ("run", "[idx]\nbogus = 1\n", "unknown key 'bogus' in [idx]"),
         ("run", "[spc]\nloop_learning_rate = none\n", "bad value for loop_learning_rate"),
         ("run", "[spc]\nloop_learning_rate =\n", "bad value for loop_learning_rate"),
-        ("verify-theory", "[spc]\nbogus = 1\n", "unknown key 'bogus' in [spc]"),
-        ("verify-theory", "[blobs]\nseed = x\n", "bad value for seed in [blobs]"),
         ("run", "[spc]\nlatent_dim = 10000000000000000000\n", "bad value for latent_dim"),
-        ("verify-theory", "[theory]\ndim = 10000000000000000000\n", "bad value for dim"),
         ("run", "[spc]\nrecon_weight = 1.0\n", "unknown key 'recon_weight' in [spc]"),
     ],
 )
@@ -350,14 +354,8 @@ def test_every_command_checks_every_section(tmp_path, capsys, command, ini, mess
 @pytest.mark.parametrize(
     "command, ini, code, message",
     [
-        ("run", "[theory]\ndim = 0\n", EXIT_CONFIG, "config error: dim must be >= 1"),
-        ("run", "[theory]\nsamplers = moebius\n", EXIT_CONFIG, "config error: unknown samplers"),
-        ("verify-theory", "[blobs]\nseed = -1\n", EXIT_DATA, "data error: seed must be >= 0"),
-        ("verify-theory", "[spc]\nlearning_rate = -1\n", EXIT_CONFIG, "config error: learning"),
-        ("run", "[theory]\neta = inf\n", EXIT_CONFIG, "config error: eta must be"),
-        ("verify-theory", "[theory]\neta = inf\n", EXIT_CONFIG, "config error: eta must be"),
-        # each value alone is refused, and [idx] is checked before [theory]
-        ("run", "[idx]\nn_clusters = -3\n[theory]\ndim = 0\n", EXIT_DATA, "data error: n_clusters"),
+        # each value alone is refused, and [spc] is checked before [idx]
+        ("run", "[spc]\nn_members = 0\n[idx]\nn_clusters = -3\n", EXIT_CONFIG, "config error: n_members"),
     ],
 )
 def test_every_command_range_checks_every_section(tmp_path, capsys, command, ini, code, message):
@@ -470,7 +468,8 @@ def test_run_exits_3_when_a_member_diverges(tmp_path, capsys, monkeypatch, stack
     "command, ini",
     [
         ("run", "[spc]\nlatent_dim = 1000000000000000\n"),
-        ("verify-theory", "[theory]\ndim = 1000000000000000\n"),
+        ("run", "[blobs]\npoints_per_cluster = 4611686018427387904\n"),
+        ("run", "[blobs]\npoints_per_cluster = 1152921504606846976\n"),
     ],
 )
 def test_out_of_memory_exits_3(tmp_path, capsys, command, ini):
@@ -609,6 +608,24 @@ def test_run_idx_missing_file_exits_2(tmp_path, capsys, flag):
     assert main(argv) == EXIT_DATA
     assert one_line_error(capsys, "data error: cannot read")
     assert not os.path.exists(run_dir(tmp_path))
+
+
+@pytest.mark.parametrize(
+    "with_labels, ini",
+    [(True, ""), (True, "[idx]\nn_clusters = 2\n"), (False, "[idx]\nn_clusters = 2\n")],
+)
+def test_run_idx_with_no_images_exits_2(tmp_path, capsys, with_labels, ini):
+    images = str(tmp_path / "im.idx")
+    write_idx_images(images, np.zeros((0, 28, 28), dtype=np.uint8))
+    argv = ["run", "--config", write(tmp_path / "c.ini", ini), "--dataset", "idx"]
+    argv += ["--images", images, "--out", run_dir(tmp_path)]
+    if with_labels:
+        write_idx_labels(tmp_path / "lb.idx", np.zeros(0, dtype=np.uint8))
+        argv += ["--labels", str(tmp_path / "lb.idx")]
+    assert main(argv) == EXIT_DATA
+    assert one_line_error(capsys, f"data error: {images}: no images")
+    assert not os.path.exists(run_dir(tmp_path))
+    assert no_stage_leftovers(tmp_path)
 
 
 def test_run_idx_unlabeled_needs_cluster_count(tmp_path):
@@ -775,9 +792,8 @@ def test_eval_missing_file_exits_2(tmp_path):
 
 
 def test_verify_theory_passes_and_writes_report(tmp_path):
-    cfg = write(tmp_path / "t.ini", FAST_THEORY_INI)
     out = run_dir(tmp_path)
-    assert main(["verify-theory", "--config", cfg, "--out", out]) == EXIT_OK
+    assert main(["verify-theory", "--out", out]) == EXIT_OK
     report = json.loads((tmp_path / "out" / "theory_report.json").read_text())
     assert report["all_passed"] is True
     assert set(report["lemma1"]) == {
@@ -794,69 +810,17 @@ def test_verify_theory_passes_and_writes_report(tmp_path):
 
 
 def test_verify_theory_report_deterministic(tmp_path):
-    cfg = write(tmp_path / "t.ini", FAST_THEORY_INI)
-    assert main(["verify-theory", "--config", cfg, "--out", str(tmp_path / "a")]) == EXIT_OK
-    assert main(["verify-theory", "--config", cfg, "--out", str(tmp_path / "b")]) == EXIT_OK
+    assert main(["verify-theory", "--out", str(tmp_path / "a")]) == EXIT_OK
+    assert main(["verify-theory", "--out", str(tmp_path / "b")]) == EXIT_OK
     ra = (tmp_path / "a" / "theory_report.json").read_bytes()
     rb = (tmp_path / "b" / "theory_report.json").read_bytes()
     assert ra == rb
 
 
-def test_verify_theory_eta_zero_passes_as_not_applicable(tmp_path):
-    cfg = write(tmp_path / "t.ini", FAST_THEORY_INI + "eta = 0\n")
+def test_verify_theory_negative_seed_exits_1(tmp_path, capsys):
     out = run_dir(tmp_path)
-    assert main(["verify-theory", "--config", cfg, "--out", out]) == EXIT_OK
-    report = json.loads((tmp_path / "out" / "theory_report.json").read_text())
-    assert report["all_passed"] is True
-    assert all(not entry["applicable"] for entry in report["lemma1"].values())
-
-
-def test_verify_theory_degenerate_sampler_exits_2(tmp_path):
-    cfg = write(tmp_path / "t.ini", FAST_THEORY_INI + "samplers = constant_point\n")
-    out = run_dir(tmp_path)
-    assert main(["verify-theory", "--config", cfg, "--out", out]) == EXIT_DATA
-    assert not os.path.exists(out)
-    assert no_stage_leftovers(tmp_path)
-
-
-def test_verify_theory_unknown_sampler_exits_1(tmp_path):
-    cfg = write(tmp_path / "t.ini", "[theory]\nsamplers = moebius\n")
-    assert main(["verify-theory", "--config", cfg, "--out", run_dir(tmp_path)]) == EXIT_CONFIG
-
-
-def test_verify_theory_tiny_sample_count_exits_1(tmp_path):
-    cfg = write(tmp_path / "t.ini", "[theory]\nn_samples = 50\n")
-    assert main(["verify-theory", "--config", cfg, "--out", run_dir(tmp_path)]) == EXIT_CONFIG
-
-
-@pytest.mark.parametrize(
-    "ini, flags", [("", ["--seed", "-1"]), ("[theory]\nseed = -3\n", [])]
-)
-def test_verify_theory_negative_seed_exits_1(tmp_path, capsys, ini, flags):
-    cfg = write(tmp_path / "t.ini", ini)
-    out = run_dir(tmp_path)
-    assert main(["verify-theory", "--config", cfg, "--out", out] + flags) == EXIT_CONFIG
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("config error:") and "seed" in err[0]
-    assert not os.path.exists(out)
-    assert no_stage_leftovers(tmp_path)
-
-
-@pytest.mark.parametrize("dim", ["0", "-1"])
-def test_verify_theory_dim_below_one_exits_1(tmp_path, capsys, dim):
-    cfg = write(tmp_path / "t.ini", f"[theory]\ndim = {dim}\n")
-    out = run_dir(tmp_path)
-    assert main(["verify-theory", "--config", cfg, "--out", out]) == EXIT_CONFIG
-    assert one_line_error(capsys, "config error: dim must be >= 1")
-    assert not os.path.exists(out)
-
-
-def test_verify_theory_non_finite_report_exits_3(tmp_path, capsys):
-    # every value is in range, but eta * w_prime overflows to inf
-    cfg = write(tmp_path / "t.ini", FAST_THEORY_INI + "eta = 1e200\nw_prime = 1e200\n")
-    out = run_dir(tmp_path)
-    assert main(["verify-theory", "--config", cfg, "--out", out]) == EXIT_NUMERIC
-    assert one_line_error(capsys, "numeric error: theory_report.json would hold a non-finite")
+    assert main(["verify-theory", "--out", out, "--seed", "-1"]) == EXIT_CONFIG
+    assert one_line_error(capsys, "config error: seed must be >= 0")
     assert not os.path.exists(out)
     assert no_stage_leftovers(tmp_path)
 
@@ -871,9 +835,8 @@ def test_verify_theory_failure_after_staging_leaves_nothing(tmp_path, capsys, mo
         write_csv(path, header, rows)
 
     monkeypatch.setattr(cli, "_write_csv", failing)
-    cfg = write(tmp_path / "t.ini", FAST_THEORY_INI)
     out = run_dir(tmp_path)
-    assert main(["verify-theory", "--config", cfg, "--out", out]) == EXIT_DATA
+    assert main(["verify-theory", "--out", out]) == EXIT_DATA
     assert one_line_error(capsys, "data error: injected curve failure")
     assert not os.path.exists(out)
     assert no_stage_leftovers(tmp_path)
@@ -899,8 +862,7 @@ def test_verify_theory_failed_claim_exits_4_with_both_artifacts(tmp_path, capsys
 def test_verify_theory_existing_out_exits_1(tmp_path):
     out = tmp_path / "busy"
     out.mkdir()
-    cfg = write(tmp_path / "t.ini", FAST_THEORY_INI)
-    assert main(["verify-theory", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert main(["verify-theory", "--out", str(out)]) == EXIT_CONFIG
 
 
 # ---- top-level parsing ----
