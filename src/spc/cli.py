@@ -370,9 +370,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify_theory(args) -> int:
-    report = run_theory_suite(seed=args.seed)
-
     with _staged(args.out) as (out, stage):
+        report = run_theory_suite(seed=args.seed)
         with open(os.path.join(stage, "theory_report.json"), "w") as f:
             f.write(json_text(report.to_json_dict(), "theory_report.json"))
         _write_csv(

@@ -52,18 +52,6 @@ class GmmModel:
     covariances: np.ndarray
     log_likelihood_trace: list = field(default_factory=list)
 
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.means = np.asarray(self.means, dtype=np.float64)
-        self.covariances = np.asarray(self.covariances, dtype=np.float64)
-        C = self.weights.shape[0]
-        if self.means.shape[0] != C or self.covariances.shape != self.means.shape:
-            raise DataError("component count mismatch between weights, means, covariances")
-        if abs(self.weights.sum() - 1.0) > 1e-9:
-            raise DataError("mixture weights must sum to 1")
-        if (self.covariances <= 0).any():
-            raise DataError("covariance entries must be positive")
-
 
 def _sq_dists(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     diff = x[:, None, :] - centroids[None, :, :]
@@ -207,10 +195,11 @@ def kmeans_fit(latents: np.ndarray, C: int, seed: int):
     left empty by an assignment step are reseeded to the point currently
     farthest from its own centroid, which strictly lowers inertia unless
     every point already sits on a centroid (then the cluster may stay
-    empty, as with fewer distinct points than C).  Assignment uses the GEMM expansion and recomputes every near tie with
-    the direct formula, so labels equal those of the direct squared
-    distances bit for bit and BLAS never decides a label.  The latents must
-    be finite and at least C, as every member's encoding of a Dataset is.
+    empty, as with fewer distinct points than C).  Assignment uses the GEMM
+    expansion and recomputes every near tie with the direct formula, so
+    labels equal those of the direct squared distances bit for bit and BLAS
+    never decides a label.  The latents must be finite and at least C, as
+    every member's encoding of a Dataset is.
     """
     x = np.asarray(latents, dtype=np.float64)
     rng = np.random.default_rng(seed)

@@ -111,10 +111,6 @@ class ConsensusResult:
     consensus_labels: np.ndarray
     agreement: np.ndarray
 
-    def __post_init__(self):
-        if self.consensus_labels.ndim != 1 or self.agreement.shape != self.consensus_labels.shape:
-            raise DataError("consensus labels and agreement flags must be vectors of length N")
-
     @property
     def n_agreed(self) -> int:
         return int(self.agreement.sum())

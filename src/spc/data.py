@@ -189,7 +189,9 @@ def make_blobs(spec: BlobSpec) -> Dataset:
     the pairwise floor are rejected and redrawn, up to a fixed attempt cap.
     Raises MemoryError before allocating anything when the larger float64
     array (the points, or the centroid differences) needs more bytes than an
-    address space holds.
+    address space holds.  Huge separations or spreads may overflow without a
+    warning: an infinite distance passes the separation floor, a NaN one
+    (infinite centroids) fails it, and ``normalize`` refuses infinite points.
     """
     C, dim, sep = spec.n_clusters, spec.ambient_dim, spec.centroid_separation
     per = spec.points_per_cluster
@@ -198,21 +200,21 @@ def make_blobs(spec: BlobSpec) -> Dataset:
         raise MemoryError(f"{C} blobs of {per} points in {dim} dimensions need {n_bytes} bytes")
     rng = np.random.default_rng(spec.seed)
     scale = 1.25 * sep / np.sqrt(2.0 * dim)
-    for _ in range(CENTROID_ATTEMPTS):
-        centroids = scale * rng.standard_normal((C, dim))
-        diff = centroids[:, None, :] - centroids[None, :, :]
-        dist = np.sqrt((diff**2).sum(axis=2))
-        dist[np.diag_indices(C)] = np.inf
-        if dist.min() >= sep:
-            break
-    else:
-        raise DataError(
-            f"could not place {C} centroids at pairwise separation {sep} "
-            f"within {CENTROID_ATTEMPTS} attempts"
-        )
-    points = np.repeat(centroids, per, axis=0) + spec.within_cluster_stddev * rng.standard_normal(
-        (C * per, dim)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(CENTROID_ATTEMPTS):
+            centroids = scale * rng.standard_normal((C, dim))
+            diff = centroids[:, None, :] - centroids[None, :, :]
+            dist = np.sqrt((diff**2).sum(axis=2))
+            dist[np.diag_indices(C)] = np.inf
+            if dist.min() >= sep:
+                break
+        else:
+            raise DataError(
+                f"could not place {C} centroids at pairwise separation {sep} "
+                f"within {CENTROID_ATTEMPTS} attempts"
+            )
+        noise = spec.within_cluster_stddev * rng.standard_normal((C * per, dim))
+        points = np.repeat(centroids, per, axis=0) + noise
     labels = np.repeat(np.arange(C, dtype=np.int64), per)
     return Dataset(points=points, labels=labels, n_clusters=C)
 
@@ -222,17 +224,22 @@ def normalize(dataset: Dataset) -> Dataset:
 
     A constant dataset maps to all zeros.  (x - lo) / (hi - lo) hits 0 and 1
     exactly at the endpoints, so the output range is exactly [-1, 1] and a
-    second application is the identity.
+    second application is the identity.  Non-finite points, and a range
+    hi - lo too wide for float64, are a DataError.
     """
     pts = dataset.points
     if not np.isfinite(pts).all():
         raise DataError("dataset contains non-finite entries")
     lo = pts.min()
     hi = pts.max()
+    with np.errstate(over="ignore"):
+        span = hi - lo
+    if not np.isfinite(span):
+        raise DataError(f"point range [{lo:.6g}, {hi:.6g}] is wider than float64 can hold")
     if hi == lo:
         scaled = np.zeros_like(pts)
     elif lo == -1.0 and hi == 1.0:
         scaled = pts.copy()
     else:
-        scaled = 2.0 * ((pts - lo) / (hi - lo)) - 1.0
+        scaled = 2.0 * ((pts - lo) / span) - 1.0
     return Dataset(points=scaled, labels=dataset.labels, n_clusters=dataset.n_clusters)

@@ -66,7 +66,8 @@ class Mlp:
     """Fully connected stack; hidden layers leaky ReLU, configurable output.
 
     weights[l] has shape (widths[l+1], widths[l]); forward computes
-    a = act(x W^T + b) layer by layer.
+    a = act(x W^T + b) layer by layer.  Raises MemoryError before drawing a
+    weight matrix whose float64 bytes pass what an address space holds.
     """
 
     def __init__(self, widths, output_activation: str, rng: np.random.Generator):
@@ -79,6 +80,9 @@ class Mlp:
         self.weights: list[np.ndarray] = []
         self.biases: list[np.ndarray] = []
         for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+            n_bytes = 8 * fan_in * fan_out
+            if n_bytes > np.iinfo(np.intp).max:
+                raise MemoryError(f"a {fan_out} x {fan_in} weight matrix needs {n_bytes} bytes")
             bound = 1.0 / np.sqrt(fan_in)
             self.weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
             self.biases.append(np.zeros(fan_out))
@@ -332,7 +336,7 @@ def load_member(path) -> AutoencoderMember:
                     noise_stddev=float(state["noise_stddev"]),
                     hidden_widths=tuple(int(w) for w in state["hidden_widths"]),
                 )
-            except SpcError as exc:
+            except (SpcError, MemoryError) as exc:
                 raise DataError(f"checkpoint header out of range: {exc}") from exc
             for name in _STACKS:
                 mlp = getattr(member, name)

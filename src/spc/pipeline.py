@@ -110,10 +110,6 @@ class IterationRecord:
     overall_accuracy: float | None
     mean_loss: float
 
-    def __post_init__(self):
-        if self.iteration < 0 or self.n_agreed < 0:
-            raise DataError("iteration and n_agreed must be non-negative")
-
 
 # ---- seeding --------------------------------------------------------------
 # Every member owns three independent streams derived from the master seed:

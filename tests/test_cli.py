@@ -470,6 +470,8 @@ def test_run_exits_3_when_a_member_diverges(tmp_path, capsys, monkeypatch, stack
         ("run", "[spc]\nlatent_dim = 1000000000000000\n"),
         ("run", "[blobs]\npoints_per_cluster = 4611686018427387904\n"),
         ("run", "[blobs]\npoints_per_cluster = 1152921504606846976\n"),
+        ("run", "[spc]\nlatent_dim = 4611686018427387904\n"),
+        ("run", "[spc]\nhidden_widths = 4611686018427387904\n"),
     ],
 )
 def test_out_of_memory_exits_3(tmp_path, capsys, command, ini):
@@ -495,6 +497,19 @@ def test_run_bad_blob_spec_exits_2(tmp_path):
     out = run_dir(tmp_path)
     assert main(["run", "--config", cfg, "--out", out]) == EXIT_DATA
     assert not os.path.exists(out)
+
+
+# pytest's warning capture hides numpy's RuntimeWarnings from capsys, so any
+# warning is made an error here
+@pytest.mark.filterwarnings("error")
+def test_run_point_range_past_float64_exits_2(tmp_path, capsys):
+    # every point is finite, but the widest minus the narrowest is not
+    cfg = write(tmp_path / "c.ini", "[blobs]\nwithin_cluster_stddev = 3e307\n")
+    out = run_dir(tmp_path)
+    assert main(["run", "--config", cfg, "--out", out]) == EXIT_DATA
+    assert one_line_error(capsys, "data error: point range ")
+    assert not os.path.exists(out)
+    assert no_stage_leftovers(tmp_path)
 
 
 def three_class_idx(tmp_path):
@@ -859,10 +874,15 @@ def test_verify_theory_failed_claim_exits_4_with_both_artifacts(tmp_path, capsys
     assert os.path.isfile(os.path.join(out, "entropy_curve.csv"))
 
 
-def test_verify_theory_existing_out_exits_1(tmp_path):
+def test_verify_theory_existing_out_exits_1(tmp_path, capsys, monkeypatch):
+    def suite(**kwargs):
+        raise AssertionError("the suite ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "run_theory_suite", suite)
     out = tmp_path / "busy"
     out.mkdir()
     assert main(["verify-theory", "--out", str(out)]) == EXIT_CONFIG
+    assert one_line_error(capsys, "config error: output path already exists")
 
 
 # ---- top-level parsing ----

@@ -461,18 +461,3 @@ def test_gmm_predict_matches_scalar_densities():
             dens.append(d)
         assert lab.labels[i] == int(np.argmax(dens))
 
-
-def test_gmm_model_validation():
-    with pytest.raises(DataError):
-        GmmModel(
-            weights=np.array([0.6, 0.6]),
-            means=np.zeros((2, 2)),
-            covariances=np.ones((2, 2)),
-        )
-    with pytest.raises(DataError):
-        GmmModel(
-            weights=np.array([0.5, 0.5]),
-            means=np.zeros((2, 2)),
-            covariances=np.zeros((2, 2)),
-        )
-

@@ -273,3 +273,33 @@ def test_normalize_rejects_non_finite():
     pts[1, 1] = np.nan
     with pytest.raises(DataError, match="non-finite"):
         normalize(Dataset(points=pts, labels=None, n_clusters=2))
+
+
+# pytest's warning capture hides numpy's RuntimeWarnings from capsys, so any
+# warning is made an error here
+@pytest.mark.filterwarnings("error")
+def test_normalize_rejects_a_range_wider_than_float64():
+    pts = np.array([[-1e308, 0.0], [1e308, 0.0], [0.0, 1.0]])
+    with pytest.raises(DataError, match="wider than float64"):
+        normalize(Dataset(points=pts, labels=None, n_clusters=2))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        # squared centroid distances overflow to infinity, which passes the floor
+        (BlobSpec(centroid_separation=1e300), None),
+        # some points overflow to infinity
+        (BlobSpec(within_cluster_stddev=4e307), "non-finite entries"),
+        # the centroid scale overflows, so every distance is NaN and fails the floor
+        (BlobSpec(centroid_separation=1.7e308), "could not place 4 centroids"),
+    ],
+)
+def test_make_blobs_huge_floats_raise_no_warning(spec, message):
+    if message is None:
+        ds = normalize(make_blobs(spec))
+        assert ds.points.min() == -1.0 and ds.points.max() == 1.0
+    else:
+        with pytest.raises(DataError, match=message):
+            normalize(make_blobs(spec))

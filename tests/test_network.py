@@ -595,6 +595,8 @@ def test_checkpoint_keys_in_file_order(tmp_path):
         ("noise_stddev", np.array(np.nan), "out of range: noise_stddev must be non-negative and finite"),
         ("noise_stddev", np.array(np.inf), "out of range: noise_stddev must be non-negative and finite"),
         ("meta", np.array([1, 0, 3, 3, 55], dtype=np.uint64), "out of range: need >= 2 positive layer widths"),
+        # a latent width whose weight matrix has more bytes than an address space
+        ("meta", np.array([1, 4, 2**62, 3, 55], dtype=np.uint64), "out of range: a 4611686018427387904 x "),
     ],
 )
 def test_load_member_rejects_a_foreign_checkpoint(tmp_path, key, value, message):

@@ -12,7 +12,6 @@ from spc.consensus import ConsensusResult, accuracy, consensus
 from spc.data import BlobSpec, Dataset, make_blobs, normalize
 from spc.errors import ConfigError, DataError, NumericError
 from spc.pipeline import (
-    IterationRecord,
     SpcConfig,
     build_members,
     combined_loss,
@@ -111,17 +110,6 @@ def test_hidden_widths_coerced_to_int_tuple():
     cfg = SpcConfig(hidden_widths=[32.0, 16.0])
     assert cfg.hidden_widths == (32, 16)
     assert all(isinstance(w, int) for w in cfg.hidden_widths)
-
-
-def test_iteration_record_rejects_negative_counts():
-    with pytest.raises(DataError):
-        IterationRecord(
-            iteration=-1, n_agreed=0, agreed_accuracy=None, overall_accuracy=None, mean_loss=0.0
-        )
-    with pytest.raises(DataError):
-        IterationRecord(
-            iteration=0, n_agreed=-2, agreed_accuracy=None, overall_accuracy=None, mean_loss=0.0
-        )
 
 
 # ---- seeding and member construction ----
