@@ -186,12 +186,18 @@ def json_text(obj, artifact: str) -> str:
 def _staged(out_dir: str):
     """Yield (out, stage), a new hidden directory beside ``out`` removed on exit.
 
-    Only ``_finalize`` moves the stage to ``out``, so a failed command leaves nothing.
+    Only ``_finalize`` moves the stage to ``out``, so a failed command leaves
+    nothing: neither the stage nor the parent directories made for it.
     """
     out = os.path.abspath(out_dir)
     if os.path.exists(out):
         raise ConfigError(f"output path already exists: {out}")
-    parent = os.path.dirname(out) or "."
+    parent = os.path.dirname(out)
+    made = []  # the directories makedirs creates, innermost first
+    path = parent
+    while not os.path.exists(path):
+        made.append(path)
+        path = os.path.dirname(path)
     os.makedirs(parent, exist_ok=True)
     stage = tempfile.mkdtemp(prefix=".stage-", dir=parent)
     try:
@@ -199,6 +205,9 @@ def _staged(out_dir: str):
     finally:
         if os.path.isdir(stage):
             shutil.rmtree(stage)
+            for path in made:
+                with contextlib.suppress(OSError):  # not empty: someone else wrote there
+                    os.rmdir(path)
 
 
 # the rename keeps a name of its own: perfbench/child.py clocks the end of a
@@ -317,18 +326,27 @@ def cmd_run(args) -> int:
 # ---- eval -----------------------------------------------------------------
 
 
+def _parses_as_int(cell: str) -> bool:
+    try:
+        int(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def _read_label_csv(path: str) -> np.ndarray:
     """Read labels from a one-column CSV or an (index, label) CSV.
 
-    A leading header row is skipped; two-column files are ordered by index,
-    and their indices must be exactly 0..N-1, each once.
+    The first row is a header, and is skipped, when one of its cells does not
+    parse as an integer.  Two-column files are ordered by index, and their
+    indices must be exactly 0..N-1, each once.
     """
     try:
         with open(path, newline="", encoding="utf-8") as f:
             rows = [row for row in csv.reader(f) if any(cell.strip() for cell in row)]
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read label file {path}: {exc}") from exc
-    if rows and not all(cell.strip().lstrip("-").isdigit() for cell in rows[0]):
+    if rows and not all(_parses_as_int(cell) for cell in rows[0]):
         rows = rows[1:]
     if not rows:
         raise DataError(f"no label rows in {path}")

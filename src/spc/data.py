@@ -90,6 +90,12 @@ class BlobSpec:
             raise DataError("ambient_dim must be positive")
         if not self.centroid_separation > 0:
             raise DataError("centroid_separation must be strictly positive")
+        # make_blobs scales its centroids by 1.25 * centroid_separation
+        if not math.isfinite(1.25 * float(self.centroid_separation)):
+            raise DataError(
+                f"centroid_separation {self.centroid_separation} is past float64's range: "
+                "1.25 * centroid_separation must be finite"
+            )
         if not self.within_cluster_stddev > 0:
             raise DataError("within_cluster_stddev must be strictly positive")
         if self.seed < 0:

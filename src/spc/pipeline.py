@@ -168,50 +168,21 @@ def _openblas_threads():
     return None
 
 
-class _SingleBlasThread:
-    """Context manager that holds BLAS at one thread while any holder is inside.
-
-    BLAS threads started inside each of the fan-out's worker threads
-    oversubscribe the cores; the worker threads are the parallelism.  The
-    thread count is process-wide, so concurrent holders share one count: the
-    first to enter saves the old count and the last to leave restores it.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._holders = 0
-        self._saved = None
-
-    def __enter__(self):
-        blas = _openblas_threads()
-        if blas is not None:
-            with self._lock:
-                if self._holders == 0:
-                    self._saved = blas[0]()
-                    blas[1](1)
-                self._holders += 1
-        return self
-
-    def __exit__(self, *exc):
-        blas = _openblas_threads()
-        if blas is not None:
-            with self._lock:
-                self._holders -= 1
-                if self._holders == 0:
-                    blas[1](self._saved)
-        return False
-
-
-_single_blas_thread = _SingleBlasThread()
+# held by a multi-worker fan-out for its whole run, so concurrent fan-outs
+# take turns and each saves and restores the process-wide BLAS thread count
+_fan_out_lock = threading.Lock()
 
 
 def _fan_out(tasks: list, workers: int | None) -> list:
     """Run the closures, possibly in a thread pool; results in task order.
 
     workers None means one thread per core.  With more than one worker thread
-    BLAS runs single-threaded meanwhile.  Outputs do not depend on either
-    thread count; the tests compare runs at different worker counts byte for
-    byte.
+    BLAS runs single-threaded meanwhile: BLAS threads started inside each
+    worker thread would oversubscribe the cores, and the worker threads are
+    the parallelism.  Multi-worker fan-outs run one at a time, so no task may
+    start a multi-worker fan-out of its own; none does.  Outputs do not
+    depend on either thread count; the tests compare runs at different
+    worker counts byte for byte.
     """
     if workers is None:
         workers = os.cpu_count() or 1
@@ -220,9 +191,16 @@ def _fan_out(tasks: list, workers: int | None) -> list:
     workers = min(workers, len(tasks))
     if workers <= 1:
         return [task() for task in tasks]
-    with _single_blas_thread, ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(task) for task in tasks]
-        return [f.result() for f in futures]
+    get_threads, set_threads = _openblas_threads() or (lambda: None, lambda n: None)
+    with _fan_out_lock:
+        saved = get_threads()
+        set_threads(1)
+        try:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                futures = [pool.submit(task) for task in tasks]
+                return [f.result() for f in futures]
+        finally:
+            set_threads(saved)
 
 
 def _check_normalized(points: np.ndarray) -> None:
@@ -316,20 +294,16 @@ def combined_loss(
     batch: np.ndarray,
     consensus_labels: np.ndarray,
     agreement_flags: np.ndarray,
-    workers: int | None = None,
 ) -> float:
     """The objective summed over members, evaluated noise-free.
 
     latents[j] must be members[j].encode(batch).  Equals the sum over members
     of each member's forward_loss, so with all flags zero it reduces to the
-    sum of per-member l1 reconstruction losses.  The members run in a
-    fan-out; the sum is taken in member order.
+    sum of per-member l1 reconstruction losses.  The sum is taken in member
+    order, in the calling thread.
     """
-    tasks = [
-        lambda m=m, z=z: m.latent_loss(z, batch, consensus_labels, agreement_flags)
-        for m, z in zip(members, latents)
-    ]
-    return float(sum(_fan_out(tasks, workers)))
+    losses = (m.latent_loss(z, batch, consensus_labels, agreement_flags) for m, z in zip(members, latents))
+    return float(sum(losses))
 
 
 # ---- the full loop --------------------------------------------------------
@@ -397,12 +371,7 @@ def spc_train(
         if previous is not None:
             result = _rename_to_previous(result, previous.consensus_labels, C)
         mean_loss = combined_loss(
-            members,
-            latents,
-            points,
-            result.consensus_labels,
-            result.agreement,
-            workers,
+            members, latents, points, result.consensus_labels, result.agreement
         ) / len(members)
         agreed_acc = overall_acc = None
         if dataset.labels is not None:

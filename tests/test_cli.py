@@ -238,6 +238,14 @@ def test_read_label_csv_indexed_with_header(tmp_path):
     assert np.array_equal(_read_label_csv(path), [0, 2, 1])
 
 
+def test_read_label_csv_reads_a_signed_first_row_as_labels(tmp_path):
+    # a first row is a header only when a cell fails the int() that parses labels
+    path = write(tmp_path / "a.csv", "+1\n0\n1\n")
+    assert np.array_equal(_read_label_csv(path), [1, 0, 1])
+    path = write(tmp_path / "b.csv", "label\n+1\n0\n")
+    assert np.array_equal(_read_label_csv(path), [1, 0])
+
+
 def test_read_label_csv_rejects_negative(tmp_path):
     path = write(tmp_path / "a.csv", "0\n-1\n")
     with pytest.raises(DataError):
@@ -312,6 +320,16 @@ def test_run_metrics_identical_across_reruns_and_workers(tmp_path):
     h1 = (tmp_path / "r1" / "history.csv").read_bytes()
     h2 = (tmp_path / "r2" / "history.csv").read_bytes()
     assert h1 == h2
+    l1 = (tmp_path / "r1" / "labels.csv").read_bytes()
+    l2 = (tmp_path / "r2" / "labels.csv").read_bytes()
+    assert l1 == l2
+    names = sorted(os.listdir(tmp_path / "r1" / "members"))
+    assert names == ["member_00.npz", "member_01.npz"]
+    assert names == sorted(os.listdir(tmp_path / "r2" / "members"))
+    for name in names:
+        c1 = (tmp_path / "r1" / "members" / name).read_bytes()
+        c2 = (tmp_path / "r2" / "members" / name).read_bytes()
+        assert c1 == c2, name
 
 
 def test_run_seed_flag_overrides_master_seed(tmp_path):
@@ -553,6 +571,37 @@ def test_run_failure_after_staging_leaves_nothing(tmp_path, capsys, monkeypatch)
     out = run_dir(tmp_path)
     assert main(["run", "--config", cfg, "--out", out]) == EXIT_DATA
     assert one_line_error(capsys, "data error: injected checkpoint failure")
+    assert not os.path.exists(out)
+    assert no_stage_leftovers(tmp_path)
+
+
+def test_run_failure_in_training_leaves_no_parent_directory(tmp_path, capsys, monkeypatch):
+    def failing(*args, **kwargs):
+        raise NumericError("injected training failure")
+
+    monkeypatch.setattr(cli, "spc_train", failing)
+    out = str(tmp_path / "a" / "b")
+    assert main(["run", "--out", out]) == EXIT_NUMERIC
+    assert one_line_error(capsys, "numeric error: injected training failure")
+    assert not os.path.exists(tmp_path / "a")
+
+
+def test_run_failure_keeps_a_made_parent_that_is_no_longer_empty(tmp_path, monkeypatch):
+    def failing(*args, **kwargs):
+        (tmp_path / "a" / "keep.txt").write_text("written meanwhile")
+        raise NumericError("injected training failure")
+
+    monkeypatch.setattr(cli, "spc_train", failing)
+    assert main(["run", "--out", str(tmp_path / "a" / "b" / "c")]) == EXIT_NUMERIC
+    assert os.listdir(tmp_path / "a") == ["keep.txt"]
+
+
+@pytest.mark.parametrize("separation", ["1.7e308", "inf"])
+def test_run_separation_past_float64_exits_2(tmp_path, capsys, separation):
+    cfg = write(tmp_path / "c.ini", f"[blobs]\ncentroid_separation = {separation}\n")
+    out = run_dir(tmp_path)
+    assert main(["run", "--config", cfg, "--out", out]) == EXIT_DATA
+    assert one_line_error(capsys, "data error: centroid_separation ")
     assert not os.path.exists(out)
     assert no_stage_leftovers(tmp_path)
 
@@ -838,6 +887,13 @@ def test_verify_theory_negative_seed_exits_1(tmp_path, capsys):
     assert one_line_error(capsys, "config error: seed must be >= 0")
     assert not os.path.exists(out)
     assert no_stage_leftovers(tmp_path)
+
+
+def test_verify_theory_negative_seed_leaves_no_parent_directory(tmp_path, capsys):
+    out = str(tmp_path / "a" / "b")
+    assert main(["verify-theory", "--out", out, "--seed", "-1"]) == EXIT_CONFIG
+    assert one_line_error(capsys, "config error: seed must be >= 0")
+    assert not os.path.exists(tmp_path / "a")
 
 
 def test_verify_theory_failure_after_staging_leaves_nothing(tmp_path, capsys, monkeypatch):

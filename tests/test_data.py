@@ -292,8 +292,6 @@ def test_normalize_rejects_a_range_wider_than_float64():
         (BlobSpec(centroid_separation=1e300), None),
         # some points overflow to infinity
         (BlobSpec(within_cluster_stddev=4e307), "non-finite entries"),
-        # the centroid scale overflows, so every distance is NaN and fails the floor
-        (BlobSpec(centroid_separation=1.7e308), "could not place 4 centroids"),
     ],
 )
 def test_make_blobs_huge_floats_raise_no_warning(spec, message):
@@ -303,3 +301,15 @@ def test_make_blobs_huge_floats_raise_no_warning(spec, message):
     else:
         with pytest.raises(DataError, match=message):
             normalize(make_blobs(spec))
+
+
+# make_blobs scales its centroids by 1.25 * centroid_separation, so a
+# separation whose scale overflows is refused before any draw
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "separation", [1.7e308, np.inf, np.float64(1.7e308)], ids=["1.7e308", "inf", "numpy-1.7e308"]
+)
+def test_blob_spec_refuses_a_separation_past_float64(separation):
+    with pytest.raises(DataError, match="past float64's range"):
+        BlobSpec(centroid_separation=separation)
+    assert BlobSpec(centroid_separation=1.4e308).centroid_separation == 1.4e308

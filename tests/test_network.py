@@ -535,8 +535,7 @@ def test_latent_loss_equals_forward_loss_and_caches_nothing():
             assert m.latent_loss(z, batch, labels, flags) == m.forward_loss(batch, labels, flags)
             m.sgd_step(m.backward(), 0.0)
         expect = sum(m.latent_loss(z, batch, labels, flags) for m, z in zip(members, latents))
-        for workers in (1, 3):
-            assert combined_loss(members, latents, batch, labels, flags, workers) == expect
+        assert combined_loss(members, latents, batch, labels, flags) == expect
         assert all(m._cache is None for m in members)
 
 

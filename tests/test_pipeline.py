@@ -423,6 +423,26 @@ def test_spc_train_reproducible_across_worker_counts(concat_member):
         assert a.overall_accuracy == b.overall_accuracy
 
 
+def test_concurrent_multi_worker_runs_match_runs_one_after_another():
+    # two callers' two-worker fan-outs take turns on one lock under real work
+    runs = [(small_blobs(seed=0), small_config()), (small_blobs(seed=1), small_config(master_seed=3))]
+    serial = [spc_train(ds, cfg, workers=2) for ds, cfg in runs]
+    threaded = [None, None]
+
+    def caller(i):
+        threaded[i] = spc_train(*runs[i], workers=2)
+
+    callers = [threading.Thread(target=caller, args=(i,)) for i in range(2)]
+    for t in callers:
+        t.start()
+    for t in callers:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in callers)
+    for (final_a, hist_a, _), (final_b, hist_b, _) in zip(serial, threaded):
+        assert np.array_equal(final_a.labels, final_b.labels)
+        assert hist_a == hist_b
+
+
 def test_spc_train_ignores_the_ids_voters_pick(monkeypatch):
     # many clusters and the GMM make tied matchings common; a tie must not
     # follow the ids a voter other than member 0 happens to give its clusters
