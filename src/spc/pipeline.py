@@ -10,6 +10,14 @@ without a strict improvement or after max_iterations, whichever comes first,
 and the last consensus becomes the final labelling.  The canonical run (every
 default) stops at max_iterations = 12 with agreement still rising, from 427
 to 566 of 800 points.
+
+Each iteration makes one fan-out over the members.  Member j's task takes
+member j's loss on the iteration's consensus, trains member j, and encodes
+and clusters for the next iteration, so a round's vote is cast at the end of
+the previous round's task (pretraining is followed by one fan-out that
+encodes and clusters for iteration 0).  The calling thread keeps what reads
+every member: the concatenated voter, the consensus, the stopping rule and
+the sum of the members' losses.
 """
 
 from __future__ import annotations
@@ -234,34 +242,27 @@ def train_epoch(
         member.sgd_step(member.backward(train_decoder=not freeze_decoder), learning_rate)
 
 
-def _train_members(
-    members: list, rngs: list, points, labels, flags, config: SpcConfig, workers: int | None, *,
-    epochs: int, learning_rate: float, freeze_decoder: bool,
-) -> None:
-    """Train member j for ``epochs`` epochs on its own stream rngs[j], all in one fan-out."""
-
-    def job(member, rng):
-        for _ in range(epochs):
-            train_epoch(member, points, labels, flags, rng, config, learning_rate, freeze_decoder)
-
-    _fan_out([functools.partial(job, m, r) for m, r in zip(members, rngs)], workers)
-
-
 def pretrain(members: list, dataset: Dataset, config: SpcConfig, workers: int | None = None) -> list:
     """Reconstruction-only training of every member, in place.
 
     With all agreement flags at zero the objective reduces to l1
     reconstruction, and the classifier receives exactly zero gradient, so the
-    selective loss machinery doubles as the pretraining objective.  Returns
-    member j's training stream, which the selective phase continues.
+    selective loss machinery doubles as the pretraining objective.  Member j
+    trains on its own stream, in one fan-out; the stream is returned, and the
+    selective phase continues it.
     """
     _check_normalized(dataset.points)
     rngs = [_member_streams(config, j)[1] for j in range(len(members))]
     zeros = np.zeros(dataset.n_points, dtype=np.int64)
-    _train_members(
-        members, rngs, dataset.points, zeros, zeros, config, workers,
-        epochs=config.pretrain_epochs, learning_rate=config.learning_rate, freeze_decoder=False,
-    )
+
+    def job(member, rng):
+        for _ in range(config.pretrain_epochs):
+            train_epoch(
+                member, dataset.points, zeros, zeros, rng, config, config.learning_rate,
+                freeze_decoder=False,
+            )
+
+    _fan_out([functools.partial(job, m, r) for m, r in zip(members, rngs)], workers)
     return rngs
 
 
@@ -300,7 +301,7 @@ def combined_loss(
     latents[j] must be members[j].encode(batch).  Equals the sum over members
     of each member's forward_loss, so with all flags zero it reduces to the
     sum of per-member l1 reconstruction losses.  The sum is taken in member
-    order, in the calling thread.
+    order; spc_train calls it on one member at a time, in that member's task.
     """
     losses = (m.latent_loss(z, batch, consensus_labels, agreement_flags) for m, z in zip(members, latents))
     return float(sum(losses))
@@ -316,14 +317,17 @@ def spc_train(
 ):
     """Run the complete selective pseudo-label loop.
 
-    Returns (final labelling, per-iteration history, trained members).  Each
-    iteration encodes without noise, clusters each member's latents, records
-    the consensus before any training, and then trains every member for
-    loop_epochs on the selective objective with the decoder frozen.  The
-    voters are the K members and, with concat_member, voter K, which clusters
-    the members' latents side by side.  A voter whose clusterer fails is
-    dropped from that iteration's vote; the run only fails when every voter
-    does.
+    Returns (final labelling, per-iteration history, trained members).  After
+    pretraining, one fan-out encodes every member without noise and clusters
+    its latents for iteration 0.  Each iteration then forms the consensus of
+    those votes and records it, and makes one fan-out in which member j's
+    task, on member j's own streams, takes member j's loss on that consensus,
+    then (unless this is the last iteration) trains for loop_epochs on the
+    selective objective with the decoder frozen, and encodes and clusters for
+    the next iteration.  The voters are the K members and, with
+    concat_member, voter K, which clusters the members' latents side by side
+    in the calling thread.  A voter whose clusterer fails is dropped from
+    that iteration's vote; the run only fails when every voter does.
     """
     C = dataset.n_clusters
     K = config.n_members
@@ -335,31 +339,44 @@ def spc_train(
 
     train_rngs = pretrain(members, dataset, config, workers=workers)
 
+    def vote(j, latents, iteration):
+        """Voter j's labelling for the iteration, or None when its clusterer fails."""
+        # voter j's own stream, so neither voter order nor thread schedule moves the seed
+        seed = int(cluster_rngs[j].integers(2**63))
+        try:
+            return _cluster(latents, C, seed, config.clusterer)
+        except NumericError as exc:
+            voter = f"member {j}" if j < K else "concatenated member"
+            logger.warning("%s clustering failed at iteration %d: %s", voter, iteration, exc)
+            return None
+
+    def encode_and_vote(j, iteration):
+        latents = members[j].encode(points)
+        return latents, vote(j, latents, iteration)
+
+    def member_task(j, iteration, latents, result, last):
+        """Member j's loss on this iteration's consensus, then its training and next vote."""
+        labels, flags = result.consensus_labels, result.agreement
+        loss = combined_loss([members[j]], [latents], points, labels, flags)
+        if last:
+            return loss, None
+        for _ in range(config.loop_epochs):
+            train_epoch(
+                members[j], points, labels, flags, train_rngs[j], config, config.loop_learning_rate,
+                freeze_decoder=True,
+            )
+        return loss, encode_and_vote(j, iteration + 1)
+
+    outcomes = _fan_out([functools.partial(encode_and_vote, j, 0) for j in range(K)], workers)
     history: list = []
     result = None
     best_agreed = -1
     stall = 0
     for iteration in range(config.max_iterations):
-        def vote(j, latents):
-            """Voter j's labelling, or None when its clusterer fails."""
-            # voter j's own stream, so neither voter order nor thread schedule moves the seed
-            seed = int(cluster_rngs[j].integers(2**63))
-            try:
-                return _cluster(latents, C, seed, config.clusterer)
-            except NumericError as exc:
-                voter = f"member {j}" if j < K else "concatenated member"
-                logger.warning("%s clustering failed at iteration %d: %s", voter, iteration, exc)
-                return None
-
-        def member_task(j):
-            latents = members[j].encode(points)
-            return latents, vote(j, latents)
-
-        outcomes = _fan_out([lambda j=j: member_task(j) for j in range(K)], workers)
         latents = [lat for lat, _ in outcomes]
         labellings = [lab for _, lab in outcomes]
         if config.concat_member:
-            labellings.append(vote(K, np.concatenate(latents, axis=1)))
+            labellings.append(vote(K, np.concatenate(latents, axis=1), iteration))
         labellings = [lab for lab in labellings if lab is not None]
         if not labellings:
             raise NumericError(
@@ -370,37 +387,37 @@ def spc_train(
         result = consensus(labellings, C)
         if previous is not None:
             result = _rename_to_previous(result, previous.consensus_labels, C)
-        mean_loss = combined_loss(
-            members, latents, points, result.consensus_labels, result.agreement
-        ) / len(members)
         agreed_acc = overall_acc = None
         if dataset.labels is not None:
             correct = _aligned_correct(result.consensus_labels, dataset.labels, C)
             overall_acc = float(correct.mean())
             if result.n_agreed > 0:
                 agreed_acc = float(correct[result.agreement].mean())
-        history.append(
-            IterationRecord(
-                iteration=iteration,
-                n_agreed=result.n_agreed,
-                agreed_accuracy=agreed_acc,
-                overall_accuracy=overall_acc,
-                mean_loss=mean_loss,
-            )
-        )
 
         if result.n_agreed > best_agreed:
             best_agreed = result.n_agreed
             stall = 0
         else:
             stall += 1
-        if stall >= config.plateau_patience or iteration == config.max_iterations - 1:
-            break
+        last = stall >= config.plateau_patience or iteration == config.max_iterations - 1
 
-        _train_members(
-            members, train_rngs, points, result.consensus_labels, result.agreement, config, workers,
-            epochs=config.loop_epochs, learning_rate=config.loop_learning_rate, freeze_decoder=True,
+        tasks = [
+            functools.partial(member_task, j, iteration, latents[j], result, last) for j in range(K)
+        ]
+        steps = _fan_out(tasks, workers)
+        losses = [loss for loss, _ in steps]
+        outcomes = [outcome for _, outcome in steps]
+        history.append(
+            IterationRecord(
+                iteration=iteration,
+                n_agreed=result.n_agreed,
+                agreed_accuracy=agreed_acc,
+                overall_accuracy=overall_acc,
+                mean_loss=sum(losses) / K,
+            )
         )
+        if last:
+            break
 
     final = Labelling(labels=result.consensus_labels.copy(), n_clusters=C)
     return final, history, members

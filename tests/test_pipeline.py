@@ -399,6 +399,44 @@ def test_spc_train_plateau_stops_before_cap():
     assert tail >= cfg.plateau_patience
 
 
+def test_spc_train_takes_each_iterations_loss_before_training():
+    # the selective phase's step size can only move losses taken after it
+    ds = small_blobs()
+    runs = [
+        spc_train(ds, small_config(max_iterations=2, plateau_patience=5, loop_learning_rate=lr))[1]
+        for lr in (0.01, 0.05)
+    ]
+    assert [len(history) for history in runs] == [2, 2]
+    assert runs[0][0].mean_loss == runs[1][0].mean_loss
+    assert runs[0][1].mean_loss != runs[1][1].mean_loss
+
+
+def test_spc_train_last_iteration_does_not_train():
+    ds = small_blobs()
+    cfg = small_config(max_iterations=1)
+    pretrained = build_members(ds, cfg)
+    pretrain(pretrained, ds, cfg, workers=2)
+    _, history, members = spc_train(ds, cfg, workers=2)
+    assert len(history) == 1
+    assert all(unchanged(m, snapshot(p)) for m, p in zip(members, pretrained))
+
+
+def test_spc_train_makes_one_fan_out_per_iteration(monkeypatch):
+    # pretraining, the encode and vote for iteration 0, then one per iteration
+    calls = []
+    fan_out = pipeline._fan_out
+
+    def counted(tasks, workers):
+        calls.append(len(tasks))
+        return fan_out(tasks, workers)
+
+    monkeypatch.setattr(pipeline, "_fan_out", counted)
+    cfg = small_config(n_members=3, max_iterations=3, plateau_patience=5)
+    _, history, _ = spc_train(small_blobs(), cfg, workers=2)
+    assert len(history) == 3
+    assert calls == [3] * (len(history) + 2)
+
+
 def test_spc_train_without_truth_labels():
     ds = small_blobs()
     unlabeled = Dataset(points=ds.points, labels=None, n_clusters=ds.n_clusters)
@@ -514,6 +552,22 @@ def test_spc_train_drops_a_member_whose_clusterer_fails(monkeypatch, caplog):
     assert len(history) == 2
     assert counts == [2, 3]
     assert "member 1 clustering failed at iteration 0" in caplog.text
+
+
+def test_spc_train_drops_a_member_from_the_later_vote_it_fails(monkeypatch, caplog):
+    # iteration 1's vote is cast inside iteration 0's task, on the stream's second draw
+    cfg = small_config(n_members=3, max_iterations=2, plateau_patience=5)
+    stream = _member_streams(cfg, 1)[2]
+    stream.integers(2**63)
+    seed = int(stream.integers(2**63))
+    failing_cluster(monkeypatch, lambda latents, s: s == seed)
+    counts = counting_consensus(monkeypatch)
+    with caplog.at_level("WARNING", logger="spc"):
+        _, history, _ = spc_train(small_blobs(), cfg, workers=2)
+    assert len(history) == 2
+    assert counts == [3, 2]
+    assert "member 1 clustering failed at iteration 1" in caplog.text
+    assert "failed at iteration 0" not in caplog.text
 
 
 def test_spc_train_drops_a_failing_concatenated_member(monkeypatch, caplog):
