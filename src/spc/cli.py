@@ -187,10 +187,11 @@ def _staged(out_dir: str):
     """Yield (out, stage), a new hidden directory beside ``out`` removed on exit.
 
     Only ``_finalize`` moves the stage to ``out``, so a failed command leaves
-    nothing: neither the stage nor the parent directories made for it.
+    nothing: neither the stage nor the parent directories made for it.  An
+    ``out`` that cannot be made is a ConfigError before the caller's work.
     """
     out = os.path.abspath(out_dir)
-    if os.path.exists(out):
+    if os.path.lexists(out):  # a dangling symlink too: the rename cannot replace it
         raise ConfigError(f"output path already exists: {out}")
     parent = os.path.dirname(out)
     made = []  # the directories makedirs creates, innermost first
@@ -198,22 +199,35 @@ def _staged(out_dir: str):
     while not os.path.exists(path):
         made.append(path)
         path = os.path.dirname(path)
-    os.makedirs(parent, exist_ok=True)
-    stage = tempfile.mkdtemp(prefix=".stage-", dir=parent)
+
+    def remove_made():
+        for path in made:
+            with contextlib.suppress(OSError):  # not empty: someone else wrote there
+                os.rmdir(path)
+
+    try:
+        os.makedirs(parent, exist_ok=True)
+        with contextlib.suppress(FileNotFoundError):
+            os.lstat(out)  # a name too long for its directory fails here, before any work
+        stage = tempfile.mkdtemp(prefix=".stage-", dir=parent)
+    except OSError as exc:
+        remove_made()
+        raise ConfigError(f"cannot create output path {out}: {exc}") from exc
     try:
         yield out, stage
     finally:
         if os.path.isdir(stage):
             shutil.rmtree(stage)
-            for path in made:
-                with contextlib.suppress(OSError):  # not empty: someone else wrote there
-                    os.rmdir(path)
+            remove_made()
 
 
 # the rename keeps a name of its own: perfbench/child.py clocks the end of a
 # run at it, and perfbench/trace.py wraps it
 def _finalize(stage: str, out: str) -> None:
-    os.replace(stage, out)
+    try:
+        os.replace(stage, out)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output path {out}: {exc}") from exc
 
 
 # ---- dataset construction -------------------------------------------------

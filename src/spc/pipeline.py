@@ -11,13 +11,13 @@ and the last consensus becomes the final labelling.  The canonical run (every
 default) stops at max_iterations = 12 with agreement still rising, from 427
 to 566 of 800 points.
 
-Each iteration makes one fan-out over the members.  Member j's task takes
-member j's loss on the iteration's consensus, trains member j, and encodes
-and clusters for the next iteration, so a round's vote is cast at the end of
-the previous round's task (pretraining is followed by one fan-out that
-encodes and clusters for iteration 0).  The calling thread keeps what reads
-every member: the concatenated voter, the consensus, the stopping rule and
-the sum of the members' losses.
+A run of I iterations makes I + 1 fan-outs, each with one task per member.
+Member j's task in the first pretrains member j; in each iteration's, it
+takes member j's loss on that iteration's consensus and trains member j.
+Either way it then encodes and clusters for the next iteration, so a round's
+vote is cast at the end of the previous round's task.  The calling thread
+keeps what reads every member: the concatenated voter, the consensus, the
+stopping rule and the sum of the members' losses.
 """
 
 from __future__ import annotations
@@ -242,28 +242,19 @@ def train_epoch(
         member.sgd_step(member.backward(train_decoder=not freeze_decoder), learning_rate)
 
 
-def pretrain(members: list, dataset: Dataset, config: SpcConfig, workers: int | None = None) -> list:
-    """Reconstruction-only training of every member, in place.
+def pretrain(member: AutoencoderMember, dataset: Dataset, config: SpcConfig, rng: np.random.Generator) -> None:
+    """Reconstruction-only training of one member, in place, on its training stream rng.
 
     With all agreement flags at zero the objective reduces to l1
     reconstruction, and the classifier receives exactly zero gradient, so the
-    selective loss machinery doubles as the pretraining objective.  Member j
-    trains on its own stream, in one fan-out; the stream is returned, and the
-    selective phase continues it.
+    selective loss machinery doubles as the pretraining objective.  The
+    selective phase continues rng where pretraining leaves it.
     """
-    _check_normalized(dataset.points)
-    rngs = [_member_streams(config, j)[1] for j in range(len(members))]
     zeros = np.zeros(dataset.n_points, dtype=np.int64)
-
-    def job(member, rng):
-        for _ in range(config.pretrain_epochs):
-            train_epoch(
-                member, dataset.points, zeros, zeros, rng, config, config.learning_rate,
-                freeze_decoder=False,
-            )
-
-    _fan_out([functools.partial(job, m, r) for m, r in zip(members, rngs)], workers)
-    return rngs
+    for _ in range(config.pretrain_epochs):
+        train_epoch(
+            member, dataset.points, zeros, zeros, rng, config, config.learning_rate, freeze_decoder=False
+        )
 
 
 # ---- clustering and consensus ---------------------------------------------
@@ -317,27 +308,27 @@ def spc_train(
 ):
     """Run the complete selective pseudo-label loop.
 
-    Returns (final labelling, per-iteration history, trained members).  After
-    pretraining, one fan-out encodes every member without noise and clusters
-    its latents for iteration 0.  Each iteration then forms the consensus of
-    those votes and records it, and makes one fan-out in which member j's
-    task, on member j's own streams, takes member j's loss on that consensus,
-    then (unless this is the last iteration) trains for loop_epochs on the
-    selective objective with the decoder frozen, and encodes and clusters for
-    the next iteration.  The voters are the K members and, with
-    concat_member, voter K, which clusters the members' latents side by side
-    in the calling thread.  A voter whose clusterer fails is dropped from
-    that iteration's vote; the run only fails when every voter does.
+    Returns (final labelling, per-iteration history, trained members).  The
+    points must lie in [-1, 1].  In the first fan-out, member j's task
+    pretrains member j on its training stream, then encodes it without noise
+    and clusters its latents for iteration 0.  Each iteration then forms the
+    consensus of those votes and records it, and makes one fan-out in which
+    member j's task, on member j's own streams, takes member j's loss on that
+    consensus, then (unless this is the last iteration) trains for
+    loop_epochs on the selective objective with the decoder frozen, and
+    encodes and clusters for the next.  The voters are the K members and,
+    with concat_member, voter K, which clusters the members' latents side by
+    side in the calling thread.  A voter whose clusterer fails is dropped
+    from that iteration's vote; the run only fails when every voter does.
     """
     C = dataset.n_clusters
     K = config.n_members
     points = dataset.points
+    _check_normalized(points)
     members = build_members(dataset, config)
-    # voter K takes the next stream index, so its stream never collides with
-    # a real member's
-    cluster_rngs = [_member_streams(config, j)[2] for j in range(K + config.concat_member)]
-
-    train_rngs = pretrain(members, dataset, config, workers=workers)
+    # voter K takes the next stream index, so its streams never collide with
+    # a real member's; its training stream goes unused
+    _, train_rngs, cluster_rngs = zip(*(_member_streams(config, j) for j in range(K + config.concat_member)))
 
     def vote(j, latents, iteration):
         """Voter j's labelling for the iteration, or None when its clusterer fails."""
@@ -367,7 +358,11 @@ def spc_train(
             )
         return loss, encode_and_vote(j, iteration + 1)
 
-    outcomes = _fan_out([functools.partial(encode_and_vote, j, 0) for j in range(K)], workers)
+    def pretrain_and_vote(j):
+        pretrain(members[j], dataset, config, train_rngs[j])
+        return encode_and_vote(j, 0)
+
+    outcomes = _fan_out([functools.partial(pretrain_and_vote, j) for j in range(K)], workers)
     history: list = []
     result = None
     best_agreed = -1

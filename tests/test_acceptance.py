@@ -17,7 +17,7 @@ from spc.clustering import Labelling, gmm_fit, gmm_predict
 from spc.consensus import accuracy, hungarian, nmi, rand_index
 from spc.data import BlobSpec, Dataset, load_idx, make_blobs, normalize
 from spc.network import AutoencoderMember
-from spc.pipeline import SpcConfig, build_members, pretrain, spc_train
+from spc.pipeline import SpcConfig, _member_streams, build_members, pretrain, spc_train
 from spc.theory import (
     LinearModel,
     TheoryDataset,
@@ -313,7 +313,7 @@ def test_criterion_10_mnist_smoke():
         master_seed=0,
     )
     member = build_members(subset, base_cfg)[0]
-    pretrain([member], subset, base_cfg)
+    pretrain(member, subset, base_cfg, _member_streams(base_cfg, 0)[1])
     latents = member.encode(subset.points)
     base_labels = gmm_predict(gmm_fit(latents, subset.n_clusters, seed=0), latents)
     base_acc = accuracy(base_labels, truth)

@@ -596,6 +596,77 @@ def test_run_failure_keeps_a_made_parent_that_is_no_longer_empty(tmp_path, monke
     assert os.listdir(tmp_path / "a") == ["keep.txt"]
 
 
+def forbid_work(monkeypatch):
+    """Make training and the theory suite fail the test if either starts."""
+
+    def work(*args, **kwargs):
+        raise AssertionError("the command ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "spc_train", work)
+    monkeypatch.setattr(cli, "run_theory_suite", work)
+
+
+# a parent that is a file, one below such a file, and a name past NAME_MAX
+UNUSABLE_OUT = [
+    pytest.param("afile/x", "File exists", id="parent-is-a-file"),
+    pytest.param("afile/y/z", "Not a directory", id="under-a-file"),
+    pytest.param("made/" + "n" * 300, "File name too long", id="name-too-long"),
+]
+
+
+@pytest.mark.parametrize("command", ["run", "verify-theory"])
+@pytest.mark.parametrize("rel, reason", UNUSABLE_OUT)
+def test_unusable_out_path_exits_1_before_any_work(tmp_path, capsys, monkeypatch, command, rel, reason):
+    forbid_work(monkeypatch)
+    (tmp_path / "afile").write_text("")
+    out = str(tmp_path / rel)
+    assert main([command, "--out", out]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: cannot create output path {out}: ")
+    assert reason in err[0]
+    assert os.listdir(tmp_path) == ["afile"]
+
+
+@pytest.mark.parametrize("command", ["run", "verify-theory"])
+def test_dangling_symlink_out_exits_1_before_any_work(tmp_path, capsys, monkeypatch, command):
+    forbid_work(monkeypatch)
+    out = tmp_path / "out"
+    out.symlink_to(tmp_path / "nowhere")
+    assert main([command, "--out", str(out)]) == EXIT_CONFIG
+    assert one_line_error(capsys, "config error: output path already exists")
+    assert os.listdir(tmp_path) == ["out"]
+
+
+@pytest.mark.parametrize("command", ["run", "verify-theory"])
+def test_out_path_taken_during_the_command_exits_1_and_leaves_no_stage(tmp_path, capsys, monkeypatch, command):
+    from spc.theory import TheoryReport
+
+    out = tmp_path / "out"
+
+    def take_out():
+        out.mkdir()
+        (out / "other.txt").write_text("written meanwhile")
+
+    train = cli.spc_train
+
+    def racing_train(*args, **kwargs):
+        take_out()
+        return train(*args, **kwargs)
+
+    def racing_suite(**kwargs):
+        take_out()
+        return TheoryReport(entropy={"passed": True})
+
+    monkeypatch.setattr(cli, "spc_train", racing_train)
+    monkeypatch.setattr(cli, "run_theory_suite", racing_suite)
+    cfg = write(tmp_path / "c.ini", SMALL_INI)
+    argv = [command, "--out", str(out)] + (["--config", cfg] if command == "run" else [])
+    assert main(argv) == EXIT_CONFIG
+    assert one_line_error(capsys, f"config error: cannot create output path {out}: ")
+    assert os.listdir(out) == ["other.txt"]
+    assert no_stage_leftovers(tmp_path)
+
+
 @pytest.mark.parametrize("separation", ["1.7e308", "inf"])
 def test_run_separation_past_float64_exits_2(tmp_path, capsys, separation):
     cfg = write(tmp_path / "c.ini", f"[blobs]\ncentroid_separation = {separation}\n")

@@ -144,12 +144,18 @@ def test_build_members_depend_on_master_seed():
 # ---- pretraining ----
 
 
+def pretrain_all(members, ds, cfg):
+    """Pretrain every member on its own training stream, as spc_train does."""
+    for j, member in enumerate(members):
+        pretrain(member, ds, cfg, _member_streams(cfg, j)[1])
+
+
 def test_pretrain_zero_epochs_leaves_members_unchanged():
     ds = small_blobs()
     cfg = small_config(pretrain_epochs=0)
     members = build_members(ds, cfg)
     snaps = [snapshot(m) for m in members]
-    pretrain(members, ds, cfg)
+    pretrain_all(members, ds, cfg)
     assert all(unchanged(m, s) for m, s in zip(members, snaps))
 
 
@@ -174,7 +180,7 @@ def test_pretrain_reduces_reconstruction_loss():
             return combined_loss(members, latents, ds.points, zeros, zeros)
 
         before = loss()
-        pretrain(members, ds, cfg)
+        pretrain_all(members, ds, cfg)
         assert loss() < before
 
 
@@ -182,7 +188,7 @@ def test_pretrain_seeds_give_different_parameters():
     ds = small_blobs()
     cfg = small_config(pretrain_epochs=5)
     members = build_members(ds, cfg)
-    pretrain(members, ds, cfg)
+    pretrain_all(members, ds, cfg)
     assert not np.array_equal(members[0].encoder.weights[0], members[1].encoder.weights[0])
 
 
@@ -191,17 +197,18 @@ def test_pretrain_does_not_touch_classifier():
     cfg = small_config(pretrain_epochs=5)
     members = build_members(ds, cfg)
     cls_before = [w.copy() for w in members[0].classifier.weights]
-    pretrain(members, ds, cfg)
+    pretrain_all(members, ds, cfg)
     for a, b in zip(cls_before, members[0].classifier.weights):
         assert np.array_equal(a, b)
 
 
-def test_pretrain_returns_each_members_advanced_training_stream():
+def test_pretrain_advances_the_stream_it_is_given():
     ds = small_blobs()
     cfg = small_config(pretrain_epochs=2)
-    rngs = pretrain(build_members(ds, cfg), ds, cfg)
-    assert len(rngs) == cfg.n_members
-    for j, rng in enumerate(rngs):
+    members = build_members(ds, cfg)
+    for j, member in enumerate(members):
+        rng = _member_streams(cfg, j)[1]
+        assert pretrain(member, ds, cfg, rng) is None
         fresh = _member_streams(cfg, j)[1]
         # each epoch draws one permutation, then one noise seed per batch
         for _ in range(cfg.pretrain_epochs):
@@ -209,14 +216,6 @@ def test_pretrain_returns_each_members_advanced_training_stream():
             for _ in range(0, ds.n_points, cfg.batch_size):
                 fresh.integers(2**63)
         assert rng.integers(2**63) == fresh.integers(2**63)
-
-
-def test_pretrain_rejects_unnormalized_points():
-    rng = np.random.default_rng(0)
-    ds = Dataset(points=rng.uniform(-3, 3, size=(30, 4)), labels=None, n_clusters=2)
-    cfg = small_config()
-    with pytest.raises(DataError):
-        pretrain(build_members(ds, cfg), ds, cfg)
 
 
 # ---- selective training step ----
@@ -415,14 +414,14 @@ def test_spc_train_last_iteration_does_not_train():
     ds = small_blobs()
     cfg = small_config(max_iterations=1)
     pretrained = build_members(ds, cfg)
-    pretrain(pretrained, ds, cfg, workers=2)
+    pretrain_all(pretrained, ds, cfg)
     _, history, members = spc_train(ds, cfg, workers=2)
     assert len(history) == 1
     assert all(unchanged(m, snapshot(p)) for m, p in zip(members, pretrained))
 
 
 def test_spc_train_makes_one_fan_out_per_iteration(monkeypatch):
-    # pretraining, the encode and vote for iteration 0, then one per iteration
+    # pretraining with the encode and vote for iteration 0, then one per iteration
     calls = []
     fan_out = pipeline._fan_out
 
@@ -434,7 +433,7 @@ def test_spc_train_makes_one_fan_out_per_iteration(monkeypatch):
     cfg = small_config(n_members=3, max_iterations=3, plateau_patience=5)
     _, history, _ = spc_train(small_blobs(), cfg, workers=2)
     assert len(history) == 3
-    assert calls == [3] * (len(history) + 2)
+    assert calls == [3] * (len(history) + 1)
 
 
 def test_spc_train_without_truth_labels():
@@ -679,16 +678,43 @@ def test_worker_count_below_one_is_a_config_error():
         with pytest.raises(ConfigError, match="workers"):
             _fan_out([lambda: 1], workers)
         with pytest.raises(ConfigError, match="workers"):
-            pretrain(build_members(ds, cfg), ds, cfg, workers=workers)
-        with pytest.raises(ConfigError, match="workers"):
             spc_train(ds, cfg, workers=workers)
 
 
-def test_spc_train_rejects_unnormalized_points():
+def test_spc_train_rejects_unnormalized_points(monkeypatch):
+    def build(*args):
+        raise AssertionError("members were built before the points were checked")
+
+    monkeypatch.setattr(pipeline, "build_members", build)
     rng = np.random.default_rng(0)
     ds = Dataset(points=rng.uniform(-4, 4, size=(40, 6)), labels=None, n_clusters=2)
     with pytest.raises(DataError):
         spc_train(ds, small_config())
+
+
+def test_fan_out_without_openblas_returns_results_in_task_order(monkeypatch):
+    # any BLAS but numpy's bundled OpenBLAS: no thread count to pin or restore
+    monkeypatch.setattr(pipeline, "_openblas_threads", lambda: None)
+    release = threading.Event()
+
+    def task(i):
+        if i == 0:  # the first task ends last
+            assert release.wait(timeout=60)
+        else:
+            release.set()
+        return i
+
+    assert _fan_out([lambda i=i: task(i) for i in range(2)], workers=2) == [0, 1]
+
+
+def test_spc_train_without_openblas_matches_the_pinned_run(monkeypatch):
+    ds = small_blobs()
+    cfg = small_config(n_members=3)
+    final, history, _ = spc_train(ds, cfg, workers=2)
+    monkeypatch.setattr(pipeline, "_openblas_threads", lambda: None)
+    final_unpinned, history_unpinned, _ = spc_train(ds, cfg, workers=2)
+    assert history_unpinned == history
+    assert np.array_equal(final_unpinned.labels, final.labels)
 
 
 def test_spc_train_gmm_clusterer_runs():
