@@ -27,37 +27,51 @@ CLASSIFIER_HIDDEN = 25  # fixed width of the classifier's single hidden layer
 
 def _leaky_relu(z: np.ndarray) -> np.ndarray:
     # max(z, s z) for 0 < s < 1 is z where z > 0 and s z elsewhere, bit for
-    # bit (signed zeros, infinities and NaN too); in place to save a buffer
-    a = LEAKY_SLOPE * z
-    return np.maximum(z, a, out=a)
+    # bit (signed zeros, infinities and NaN too); written over z
+    return np.maximum(z, LEAKY_SLOPE * z, out=z)
 
 
-def _leaky_relu_backward(grad_a: np.ndarray, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    # the slope factor is exactly 1.0 or LEAKY_SLOPE: for 0 < s <= 1/2,
-    # (1 - s) + s rounds to 1.0.  Arithmetic instead of a select on z > 0
-    # gives the same bits several times faster.
-    factor = (z > 0.0) * (1.0 - LEAKY_SLOPE)
+def _leaky_relu_backward(grad_a: np.ndarray, a: np.ndarray) -> np.ndarray:
+    # a > 0 exactly where z > 0.  The slope factor is exactly 1.0 or
+    # LEAKY_SLOPE: for 0 < s <= 1/2, (1 - s) + s rounds to 1.0.  Arithmetic
+    # instead of a select on a > 0 gives the same bits several times faster.
+    factor = np.greater(a, 0.0, out=a)
+    factor *= 1.0 - LEAKY_SLOPE
     factor += LEAKY_SLOPE
     factor *= grad_a
     return factor
 
 
+def _tanh_backward(grad_a: np.ndarray, a: np.ndarray) -> np.ndarray:
+    # (1 - a a) dL/da, written over a
+    a *= a
+    np.subtract(1.0, a, out=a)
+    a *= grad_a
+    return a
+
+
 def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
 
 
-def _softmax_backward(grad_a: np.ndarray, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    # rows couple: dL/dz_k = p_k (dL/da_k - sum_i dL/da_i p_i)
+def _softmax_backward(grad_a: np.ndarray, a: np.ndarray) -> np.ndarray:
+    # rows couple: dL/dz_k = p_k (dL/da_k - sum_i dL/da_i p_i); written over
+    # both arguments
     inner = (grad_a * a).sum(axis=1, keepdims=True)
-    return a * (grad_a - inner)
+    grad_a -= inner
+    a *= grad_a
+    return a
 
 
-# (forward a = act(z), backward (dL/da, z, a) -> dL/dz) per activation name
+# Per activation name: forward z -> act(z), written over z, and backward
+# (dL/da, a) -> dL/dz, which reads only the activation and may write over
+# both of its arguments.
 _ACTIVATIONS = {
     "leaky_relu": (_leaky_relu, _leaky_relu_backward),
-    "tanh": (np.tanh, lambda grad_a, z, a: grad_a * (1.0 - a * a)),
+    "tanh": (lambda z: np.tanh(z, out=z), _tanh_backward),
     "softmax": (_softmax, _softmax_backward),
 }
 
@@ -66,8 +80,10 @@ class Mlp:
     """Fully connected stack; hidden layers leaky ReLU, configurable output.
 
     weights[l] has shape (widths[l+1], widths[l]); forward computes
-    a = act(x W^T + b) layer by layer.  Raises MemoryError before drawing a
-    weight matrix whose float64 bytes pass what an address space holds.
+    a = act(x W^T + b) layer by layer, each activation written over its
+    pre-activation, and never writes into x.  Raises MemoryError before
+    drawing a weight matrix whose float64 bytes pass what an address space
+    holds.
     """
 
     def __init__(self, widths, output_activation: str, rng: np.random.Generator):
@@ -92,13 +108,14 @@ class Mlp:
         return len(self.weights)
 
     def forward(self, x: np.ndarray, cache: list | None = None) -> np.ndarray:
+        """The output for a batch x; with a cache list, appends (input, activation) per layer."""
         a = x
         for l in range(self.n_layers):
             z = a @ self.weights[l].T
             z += self.biases[l]
             a_next = self.activations[l][0](z)
             if cache is not None:
-                cache.append((a, z, a_next))
+                cache.append((a, a_next))
             a = a_next
         return a
 
@@ -109,12 +126,14 @@ class Mlp:
 
         param_grads=False skips the weight gradients and input_grad=False the
         gradient w.r.t. the input; each part skipped is returned as None.
+        Consumes the cache and grad_out: the activations and grad_out may be
+        overwritten.  The input of the first layer is only read.
         """
         grads = [None] * self.n_layers if param_grads else None
         g = grad_out
         for l in range(self.n_layers - 1, -1, -1):
-            x_in, z, a = cache[l]
-            gz = self.activations[l][1](g, z, a)
+            x_in, a = cache[l]
+            gz = self.activations[l][1](g, a)
             if param_grads:
                 grads[l] = (gz.T @ x_in, gz.sum(axis=0))
             g = gz @ self.weights[l] if l > 0 or input_grad else None
@@ -162,10 +181,13 @@ class AutoencoderMember:
     def _head_loss(self, latent, batch, labels, agreed, dec_cache=None, cls_cache=None):
         """The loss of the decoder and classifier heads on given latent codes.
 
-        Returns (loss, diff, p_t): diff = rec - batch on the rows that are not
-        agreed and p_t the probability of the consensus label on the agreed
-        rows, each None when it has no row.  The classifier only runs when
-        some point is agreed.
+        Returns (loss, sign, p_t).  p_t is the probability of the consensus
+        label on the agreed rows, None when no row is agreed; the classifier
+        only runs when some point is agreed.  Without caches the
+        reconstruction becomes its own error array and sign is None.  With
+        caches the reconstruction stays cached for backward, and sign is
+        sign(rec - batch) with the agreed rows zeroed, the direction of
+        dL/drec.
         """
         rec = self.decoder.forward(latent, cache=dec_cache)
         probs = self.classifier.forward(latent, cache=cls_cache) if agreed.any() else None
@@ -174,14 +196,22 @@ class AutoencoderMember:
 
         B, n = batch.shape[0], self.input_dim
         per_point = np.zeros(B)
-        diff = p_t = None
+        p_t = sign = None
         if probs is not None:
             p_t = probs[agreed, labels[agreed]]
             per_point[agreed] = -np.log(np.maximum(p_t, CE_CLAMP))
-        if (~agreed).any():
-            diff = rec[~agreed] - batch[~agreed]
-            per_point[~agreed] = np.abs(diff).sum(axis=1) / n
-        return float(per_point.sum() / B), diff, p_t
+        if dec_cache is None:
+            err = rec
+            err -= batch
+        else:
+            err = rec - batch
+            sign = np.sign(err)
+            sign[agreed] = 0.0
+        # a row's sum does not depend on the other rows, so summing every row
+        # and keeping the disagreed ones gives the bits of summing the subset
+        row_l1 = np.abs(err, out=err).sum(axis=1)
+        per_point[~agreed] = row_l1[~agreed] / n
+        return float(per_point.sum() / B), sign, p_t
 
     def latent_loss(
         self,
@@ -225,7 +255,7 @@ class AutoencoderMember:
             latent = latent + self.noise_stddev * noise_rng.standard_normal(latent.shape)
         dec_cache: list = []
         cls_cache: list = []
-        loss, diff, p_t = self._head_loss(latent, batch, labels, agreed, dec_cache, cls_cache)
+        loss, sign, p_t = self._head_loss(latent, batch, labels, agreed, dec_cache, cls_cache)
 
         self._cache = {
             "labels": labels,
@@ -233,7 +263,7 @@ class AutoencoderMember:
             "enc_cache": enc_cache,
             "dec_cache": dec_cache,
             "cls_cache": cls_cache,
-            "diff": diff,
+            "sign": sign,
             "p_t": p_t,
         }
         return loss
@@ -246,15 +276,21 @@ class AutoencoderMember:
         point of the batch is agreed (otherwise its gradient is exactly
         zero and its backward is skipped).  Raises NumericError when any
         gradient entry is not finite.
+
+        Consumes the cache of forward_loss, whose activations it overwrites,
+        so each backward needs a forward_loss of its own; raises SpcError
+        without one.
         """
         c = self._cache
-        labels, agreed, diff, p_t = c["labels"], c["agreed"], c["diff"], c["p_t"]
+        if c is None:
+            raise SpcError("backward needs a forward_loss first: each forward_loss caches one backward")
+        self._cache = None
+        labels, agreed, p_t = c["labels"], c["agreed"], c["p_t"]
         B, n = agreed.shape[0], self.input_dim
 
-        # decoder branch: dL/drec = sign(diff) / (B n), nonzero only on non-agreed rows
-        grad_rec = np.zeros((B, n))
-        if diff is not None:
-            grad_rec[~agreed] = (1.0 / (B * n)) * np.sign(diff)
+        # decoder branch: dL/drec = sign(rec - x) / (B n), zero on agreed rows
+        grad_rec = c["sign"]
+        grad_rec *= 1.0 / (B * n)
         dec_grads, grad_latent = self.decoder.backward(
             c["dec_cache"], grad_rec, param_grads=train_decoder
         )
@@ -267,7 +303,7 @@ class AutoencoderMember:
             rows = np.flatnonzero(agreed)[live]
             grad_probs[rows, labels[rows]] = -1.0 / (B * p_t[live])
             cls_grads, grad_latent_cls = self.classifier.backward(c["cls_cache"], grad_probs)
-            grad_latent = grad_latent_cls + grad_latent
+            grad_latent += grad_latent_cls
 
         # additive noise has zero jacobian w.r.t. parameters: gradients pass through
         enc_grads, _ = self.encoder.backward(c["enc_cache"], grad_latent, input_grad=False)
@@ -280,12 +316,16 @@ class AutoencoderMember:
         return grads
 
     def sgd_step(self, grads: list, learning_rate: float) -> None:
-        """theta <- theta - eta * grad for each of backward's pairs, in place; clears the cache."""
+        """theta <- theta - eta * grad for each of backward's pairs, in place.
+
+        Consumes the gradients: each is scaled by eta in place.
+        """
         for mlp, layers in grads:
             for l, (dw, db) in enumerate(layers):
-                mlp.weights[l] -= learning_rate * dw
-                mlp.biases[l] -= learning_rate * db
-        self._cache = None
+                dw *= learning_rate
+                db *= learning_rate
+                mlp.weights[l] -= dw
+                mlp.biases[l] -= db
 
 
 CHECKPOINT_VERSION = 1

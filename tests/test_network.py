@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from spc.errors import DataError, NumericError
+from spc.errors import DataError, NumericError, SpcError
 from spc.network import (
     CE_CLAMP,
+    LEAKY_SLOPE,
     AutoencoderMember,
     Mlp,
     load_member,
@@ -435,15 +438,35 @@ def test_sgd_descends_on_smooth_batch():
 
 
 def test_backward_rejects_non_finite_gradients():
-    # a NaN planted in the cached reconstruction difference, after forward_loss
-    # has passed its activation checks, reaches backward's gradient scan first
+    # a NaN planted in the cached reconstruction sign of a disagreed row, after
+    # forward_loss has passed its activation checks, reaches backward's
+    # gradient scan first
     rng = np.random.default_rng(30)
     m = small_member(seed=46)
     batch = rand_batch(rng, b=3)
     m.forward_loss(batch, np.array([0, 2, 1]), np.array([1, 0, 0]))
-    m._cache["diff"][0, 0] = np.nan
+    m._cache["sign"][1, 0] = np.nan
     with pytest.raises(NumericError, match="non-finite gradient"):
         m.backward()
+
+
+def test_backward_without_a_live_forward_loss_raises():
+    # backward consumes the cache, so it needs a forward_loss of its own:
+    # called first, or again after a step, it names forward_loss
+    rng = np.random.default_rng(31)
+    batch = rand_batch(rng, b=3)
+    labels, flags = np.array([0, 2, 1]), np.array([1, 0, 0])
+    m = small_member(seed=56)
+    with pytest.raises(SpcError, match="forward_loss"):
+        m.backward()
+    m.forward_loss(batch, labels, flags)
+    m.sgd_step(m.backward(), 0.1)
+    with pytest.raises(SpcError, match="forward_loss"):
+        m.backward()
+    m.forward_loss(batch, labels, flags)
+    m.backward()
+    with pytest.raises(SpcError, match="forward_loss"):
+        m.backward(train_decoder=False)
 
 
 def test_frozen_decoder_backward_skips_decoder_only():
@@ -452,6 +475,7 @@ def test_frozen_decoder_backward_skips_decoder_only():
     batch = rand_batch(rng, b=4)
     m.forward_loss(batch, np.zeros(4, dtype=int), np.zeros(4, dtype=int))
     full = m.backward()
+    m.forward_loss(batch, np.zeros(4, dtype=int), np.zeros(4, dtype=int))
     frozen = m.backward(train_decoder=False)
     assert [mlp for mlp, _ in full] == [m.encoder, m.decoder]
     assert [mlp for mlp, _ in frozen] == [m.encoder]
@@ -518,8 +542,10 @@ def test_leaky_relu_matches_select_oracle_bitwise():
     z = np.concatenate([special, rng.standard_normal(200) * 10])
     grid_z, grid_g = (a.reshape(-1) for a in np.meshgrid(z, z))
     leaky_relu, leaky_relu_backward = _ACTIVATIONS["leaky_relu"]
-    assert leaky_relu(z).tobytes() == np.where(z > 0.0, z, 0.01 * z).tobytes()
-    backward = leaky_relu_backward(grid_g, grid_z, None)
+    # both rules work in place, so each gets a copy
+    assert leaky_relu(z.copy()).tobytes() == np.where(z > 0.0, z, 0.01 * z).tobytes()
+    grid_a = leaky_relu(grid_z.copy())
+    backward = leaky_relu_backward(grid_g, grid_a)
     oracle = grid_g * np.where(grid_z > 0.0, 1.0, 0.01)
     assert backward.tobytes() == oracle.tobytes()
 
@@ -537,6 +563,168 @@ def test_latent_loss_equals_forward_loss_and_caches_nothing():
         expect = sum(m.latent_loss(z, batch, labels, flags) for m, z in zip(members, latents))
         assert combined_loss(members, latents, batch, labels, flags) == expect
         assert all(m._cache is None for m in members)
+
+
+# ---- the out-of-place formulas as oracles ----
+
+
+def oracle_forward(mlp, x):
+    """(output, [(input, z, activation) per layer]), each activation a new array."""
+    layers, a = [], x
+    for w, b, activation in zip(mlp.weights, mlp.biases, mlp.activations):
+        z = a @ w.T
+        z += b
+        if activation is _ACTIVATIONS["leaky_relu"]:
+            a_next = np.maximum(z, LEAKY_SLOPE * z)
+        elif activation is _ACTIVATIONS["tanh"]:
+            a_next = np.tanh(z)
+        else:
+            e = np.exp(z - z.max(axis=1, keepdims=True))
+            a_next = e / e.sum(axis=1, keepdims=True)
+        layers.append((a, z, a_next))
+        a = a_next
+    return a, layers
+
+
+def oracle_backward(mlp, layers, g):
+    """([(dW, db) per layer], dL/d(input)); the leaky slope is read from z."""
+    grads = []
+    for l in range(mlp.n_layers - 1, -1, -1):
+        x_in, z, a = layers[l]
+        if mlp.activations[l] is _ACTIVATIONS["leaky_relu"]:
+            gz = g * np.where(z > 0.0, 1.0, LEAKY_SLOPE)
+        elif mlp.activations[l] is _ACTIVATIONS["tanh"]:
+            gz = g * (1.0 - a * a)
+        else:
+            gz = a * (g - (g * a).sum(axis=1, keepdims=True))
+        grads.insert(0, (gz.T @ x_in, gz.sum(axis=0)))
+        g = gz @ mlp.weights[l]
+    return grads, g
+
+
+def oracle_loss_and_grads(m, batch, labels, flags, noise_seed=None, train_decoder=True):
+    """The objective and its (mlp, grads) pairs, out of place: the reconstruction
+    error taken on the disagreed subset, dL/drec = (1/(B n)) sign(error)."""
+    agreed = flags.astype(bool)
+    B, n = batch.shape
+    latent, enc = oracle_forward(m.encoder, batch)
+    if noise_seed is not None:
+        latent = latent + m.noise_stddev * np.random.default_rng(noise_seed).standard_normal(latent.shape)
+    rec, dec = oracle_forward(m.decoder, latent)
+    per_point = np.zeros(B)
+    diff = rec[~agreed] - batch[~agreed]
+    per_point[~agreed] = np.abs(diff).sum(axis=1) / n
+    grad_rec = np.zeros((B, n))
+    grad_rec[~agreed] = (1.0 / (B * n)) * np.sign(diff)
+    dec_grads, grad_latent = oracle_backward(m.decoder, dec, grad_rec)
+    grads = [(m.decoder, dec_grads)] if train_decoder else []
+    if agreed.any():
+        probs, cls = oracle_forward(m.classifier, latent)
+        p_t = probs[agreed, labels[agreed]]
+        per_point[agreed] = -np.log(np.maximum(p_t, CE_CLAMP))
+        grad_probs = np.zeros_like(probs)
+        live = p_t > CE_CLAMP
+        rows = np.flatnonzero(agreed)[live]
+        grad_probs[rows, labels[rows]] = -1.0 / (B * p_t[live])
+        cls_grads, grad_latent_cls = oracle_backward(m.classifier, cls, grad_probs)
+        grads.append((m.classifier, cls_grads))
+        grad_latent = grad_latent_cls + grad_latent
+    grads.insert(0, (m.encoder, oracle_backward(m.encoder, enc, grad_latent)[0]))
+    return float(per_point.sum() / B), grads
+
+
+def stack_names(m, grads):
+    names = {id(m.encoder): "encoder", id(m.decoder): "decoder", id(m.classifier): "classifier"}
+    return [names[id(mlp)] for mlp, _ in grads]
+
+
+@pytest.mark.parametrize("n", [1, 7, 50, 784])
+@pytest.mark.parametrize(
+    "flags", [[1, 0, 0, 1, 1, 0, 1, 0, 0], [1] * 9, [0] * 9], ids=["mixed", "all-agreed", "none-agreed"]
+)
+@pytest.mark.parametrize("train_decoder", [True, False])
+def test_step_matches_out_of_place_oracle_bitwise(n, flags, train_decoder):
+    # the in-place passes give the bits of the out-of-place formulas: loss,
+    # every gradient and the stepped weights W - eta dW; no pass writes
+    # into its input
+    rng = np.random.default_rng(n)
+    batch = rng.uniform(-1, 1, size=(9, n))
+    before = batch.copy()
+    labels, flags = rng.integers(0, 4, size=9), np.array(flags)
+    m, oracle = (AutoencoderMember(n, 3, 4, seed=n, noise_stddev=0.1, hidden_widths=(6, 5)) for _ in range(2))
+
+    latent = m.encode(batch)
+    latent_before = latent.copy()
+    assert m.latent_loss(latent, batch, labels, flags) == oracle_loss_and_grads(oracle, batch, labels, flags)[0]
+    assert latent.tobytes() == latent_before.tobytes()
+
+    loss = m.forward_loss(batch, labels, flags, noise_seed=4)
+    grads = m.backward(train_decoder=train_decoder)
+    expect_loss, expect = oracle_loss_and_grads(oracle, batch, labels, flags, 4, train_decoder)
+    assert loss == expect_loss
+    assert stack_names(m, grads) == stack_names(oracle, expect)
+    for (_, layers), (_, expect_layers) in zip(grads, expect):
+        assert same_bits([a for pair in layers for a in pair], [a for pair in expect_layers for a in pair])
+    assert batch.tobytes() == before.tobytes()
+
+    m.sgd_step(grads, 0.05)
+    for (mlp, _), (theirs, layers) in zip(grads, expect):
+        stepped = [w - 0.05 * dw for w, (dw, _) in zip(theirs.weights, layers)]
+        stepped += [b - 0.05 * db for b, (_, db) in zip(theirs.biases, layers)]
+        assert same_bits(mlp.weights + mlp.biases, stepped)
+
+
+# ---- memory footprint ----
+
+
+def traced_peak(fn):
+    """Peak bytes that tracemalloc sees while fn runs (numpy reports its data buffers)."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def mnist_member():
+    return AutoencoderMember(784, 10, 10, seed=3, noise_stddev=0.08, hidden_widths=(256, 128))
+
+
+def test_latent_loss_footprint_below_one_and_a_half_batches():
+    # the reconstruction becomes the error array: one full-batch array plus
+    # the last hidden layer's activations; the out-of-place passes held 2.33
+    rng = np.random.default_rng(32)
+    m = mnist_member()
+    batch = rng.uniform(-1, 1, size=(800, 784))
+    latent = m.encode(batch)
+    labels = rng.integers(0, 10, size=800)
+    for flags in (rng.random(800) < 0.6, np.zeros(800, dtype=bool)):
+        peak = traced_peak(lambda: m.latent_loss(latent, batch, labels, flags))
+        assert peak < 1.5 * batch.nbytes, peak / batch.nbytes
+
+
+@pytest.mark.parametrize(
+    "agreed_share, train_decoder, limit",
+    [(0.0, True, 7.5e6), (0.6, False, 5.5e6)],
+    ids=["pretraining", "selective"],
+)
+def test_784_wide_step_footprint(agreed_share, train_decoder, limit):
+    # B=128 at the default widths; the step cache keeps activations only and
+    # the gradients are scaled in place (out of place: 9.4 MB and 7.1 MB)
+    rng = np.random.default_rng(33)
+    m = mnist_member()
+    batch = rng.uniform(-1, 1, size=(128, 784))
+    labels = rng.integers(0, 10, size=128)
+    flags = np.arange(128) < int(agreed_share * 128)
+
+    def step():
+        m.forward_loss(batch, labels, flags, noise_seed=5)
+        m.sgd_step(m.backward(train_decoder=train_decoder), 0.01)
+
+    step()
+    assert traced_peak(step) < limit
 
 
 # ---- checkpointing ----
