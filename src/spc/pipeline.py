@@ -11,12 +11,15 @@ and the last consensus becomes the final labelling.  The canonical run (every
 default) stops at max_iterations = 12 with agreement still rising, from 427
 to 566 of 800 points.
 
-A run of I iterations makes I + 1 fan-outs, each with one task per member.
-Member j's task in the first pretrains member j; in each iteration's, it
-takes member j's loss on that iteration's consensus and trains member j.
-Either way it then encodes and clusters for the next iteration, so a round's
-vote is cast at the end of the previous round's task.  The calling thread
-keeps what reads every member: the concatenated voter, the consensus, the
+A run of I iterations makes I + 1 rounds, each one fan-out.  In a round,
+member j has a work unit and then a fit unit.  The first round's work unit
+pretrains member j; each iteration's takes member j's loss on that
+iteration's consensus and trains member j.  Either way it then encodes
+member j, and the fit unit clusters those latents for the next iteration,
+so a round's vote is cast at the end of the previous round.  The last
+round only takes the losses.  Worker threads share a round's units, and at
+most one fit runs at a time (see _member_round).  The calling thread keeps
+what reads every member: the concatenated voter, the consensus, the
 stopping rule and the sum of the members' losses.
 """
 
@@ -38,7 +41,7 @@ from .consensus import ConsensusResult, _aligned_correct, _matching, consensus
 # unused here, but perfbench/trace.py wraps pipeline.hungarian, so the name must resolve
 from .consensus import hungarian  # noqa: F401
 from .data import Dataset
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, SpcError
 from .network import AutoencoderMember
 
 logger = logging.getLogger("spc")
@@ -181,6 +184,15 @@ def _openblas_threads():
 _fan_out_lock = threading.Lock()
 
 
+def _worker_count(workers: int | None) -> int:
+    """workers, or one per core for None; below one is a ConfigError."""
+    if workers is None:
+        return os.cpu_count() or 1
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+    return workers
+
+
 def _fan_out(tasks: list, workers: int | None) -> list:
     """Run the closures, possibly in a thread pool; results in task order.
 
@@ -192,11 +204,7 @@ def _fan_out(tasks: list, workers: int | None) -> list:
     depend on either thread count; the tests compare runs at different
     worker counts byte for byte.
     """
-    if workers is None:
-        workers = os.cpu_count() or 1
-    elif workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
-    workers = min(workers, len(tasks))
+    workers = min(_worker_count(workers), len(tasks))
     if workers <= 1:
         return [task() for task in tasks]
     get_threads, set_threads = _openblas_threads() or (lambda: None, lambda n: None)
@@ -209,6 +217,77 @@ def _fan_out(tasks: list, workers: int | None) -> list:
                 return [f.result() for f in futures]
         finally:
             set_threads(saved)
+
+
+def _member_round(work, fit, n_members: int, workers: int | None) -> list:
+    """One round of member units; [work(j), fit(j, work(j))] for each member j, in order.
+
+    Member j's work unit work(j) runs before its fit unit fit(j, work(j)).
+    fit None means the round has no fit units, and each fit result is None.
+    min(workers, n_members) copies of one worker loop share the units in one
+    fan-out.  A free worker takes the lowest ready fit unit if no fit is
+    running, else starts the next member's work unit, else waits.  So at most
+    one fit runs at a time: a k-means fit at benchmark scale is a long run of
+    small numpy calls that hold the interpreter lock, so two fits in two
+    threads take longer than one after the other, while a fit beside a
+    member's training costs that training little.  One worker runs each
+    member's work and then its fit, in member order.  A member whose unit
+    raises gets no further unit, and once the round ends the lowest failing
+    member's error is raised.
+    """
+    results = [[None, None] for _ in range(n_members)]
+    errors = [None] * n_members
+    ready = []  # members whose work is done and whose fit has not started
+    cond = threading.Condition()
+    next_work = working = 0
+    fitting = False
+
+    def take():
+        """(member, is_fit) of the next unit to run, or None when none is left."""
+        nonlocal next_work, working, fitting
+        with cond:
+            while True:
+                if ready and not fitting:
+                    fitting = True
+                    j = min(ready)
+                    ready.remove(j)
+                    return j, True
+                if next_work < n_members:
+                    next_work += 1
+                    working += 1
+                    return next_work - 1, False
+                if not ready and not working:
+                    return None
+                cond.wait()
+
+    def worker():
+        nonlocal working, fitting
+        while (unit := take()) is not None:
+            j, is_fit = unit
+            try:
+                if is_fit:
+                    results[j][1] = fit(j, results[j][0])
+                else:
+                    results[j][0] = work(j)
+            except Exception as exc:  # raised for the lowest failing member after the round
+                errors[j] = exc
+            with cond:
+                if is_fit:
+                    fitting = False
+                else:
+                    working -= 1
+                    if fit is not None and errors[j] is None:
+                        ready.append(j)
+                cond.notify_all()
+
+    loops = min(_worker_count(workers), n_members)
+    _fan_out([worker] * loops, loops)
+    for j, exc in enumerate(errors):
+        if isinstance(exc, SpcError):
+            raise type(exc)(f"{exc} (member {j})") from exc
+        if exc is not None:
+            raise exc
+    return results
 
 
 def _check_normalized(points: np.ndarray) -> None:
@@ -292,7 +371,7 @@ def combined_loss(
     latents[j] must be members[j].encode(batch).  Equals the sum over members
     of each member's forward_loss, so with all flags zero it reduces to the
     sum of per-member l1 reconstruction losses.  The sum is taken in member
-    order; spc_train calls it on one member at a time, in that member's task.
+    order; spc_train calls it on one member at a time, in that member's work unit.
     """
     losses = (m.latent_loss(z, batch, consensus_labels, agreement_flags) for m, z in zip(members, latents))
     return float(sum(losses))
@@ -309,17 +388,22 @@ def spc_train(
     """Run the complete selective pseudo-label loop.
 
     Returns (final labelling, per-iteration history, trained members).  The
-    points must lie in [-1, 1].  In the first fan-out, member j's task
-    pretrains member j on its training stream, then encodes it without noise
-    and clusters its latents for iteration 0.  Each iteration then forms the
-    consensus of those votes and records it, and makes one fan-out in which
-    member j's task, on member j's own streams, takes member j's loss on that
-    consensus, then (unless this is the last iteration) trains for
-    loop_epochs on the selective objective with the decoder frozen, and
-    encodes and clusters for the next.  The voters are the K members and,
-    with concat_member, voter K, which clusters the members' latents side by
-    side in the calling thread.  A voter whose clusterer fails is dropped
-    from that iteration's vote; the run only fails when every voter does.
+    points must lie in [-1, 1].  In the first round, member j's work unit
+    pretrains member j on its training stream and encodes it without noise,
+    and its fit unit clusters the latents for iteration 0.  Each iteration
+    then forms the consensus of those votes and records it, and runs one
+    round in which member j's work unit, on member j's own streams, takes
+    member j's loss on that consensus, then (unless this is the last
+    iteration) trains for loop_epochs on the selective objective with the
+    decoder frozen and encodes, and its fit unit clusters for the next
+    iteration.  The last iteration's round has no fit units.  workers
+    threads (None: one per core) share a round's units, and at most one fit
+    runs at a time; results do not depend on the thread count.  The voters
+    are the K members and, with concat_member, voter K, which clusters the
+    members' latents side by side in the calling thread.  A voter whose
+    clusterer fails is dropped from that iteration's vote; the run only
+    fails when every voter does.  A member whose unit raises ends the run
+    after its round, with the lowest failing member's error, naming it.
     """
     C = dataset.n_clusters
     K = config.n_members
@@ -341,14 +425,18 @@ def spc_train(
             logger.warning("%s clustering failed at iteration %d: %s", voter, iteration, exc)
             return None
 
-    def encode_and_vote(j, iteration):
-        latents = members[j].encode(points)
-        return latents, vote(j, latents, iteration)
+    def vote_on(iteration):
+        """The fit unit of a round: a member's vote on the latents its work unit returned."""
+        return lambda j, step: vote(j, step[1], iteration)
 
-    def member_task(j, iteration, latents, result, last):
-        """Member j's loss on this iteration's consensus, then its training and next vote."""
+    def pretrain_unit(j):
+        pretrain(members[j], dataset, config, train_rngs[j])
+        return None, members[j].encode(points)
+
+    def train_unit(j, latents, result, last):
+        """Member j's loss on this iteration's consensus, then its training and next latents."""
         labels, flags = result.consensus_labels, result.agreement
-        loss = combined_loss([members[j]], [latents], points, labels, flags)
+        loss = combined_loss([members[j]], [latents[j]], points, labels, flags)
         if last:
             return loss, None
         for _ in range(config.loop_epochs):
@@ -356,20 +444,16 @@ def spc_train(
                 members[j], points, labels, flags, train_rngs[j], config, config.loop_learning_rate,
                 freeze_decoder=True,
             )
-        return loss, encode_and_vote(j, iteration + 1)
+        return loss, members[j].encode(points)
 
-    def pretrain_and_vote(j):
-        pretrain(members[j], dataset, config, train_rngs[j])
-        return encode_and_vote(j, 0)
-
-    outcomes = _fan_out([functools.partial(pretrain_and_vote, j) for j in range(K)], workers)
+    rounds = _member_round(pretrain_unit, vote_on(0), K, workers)
     history: list = []
     result = None
     best_agreed = -1
     stall = 0
     for iteration in range(config.max_iterations):
-        latents = [lat for lat, _ in outcomes]
-        labellings = [lab for _, lab in outcomes]
+        latents = [lat for (_, lat), _ in rounds]
+        labellings = [lab for _, lab in rounds]
         if config.concat_member:
             labellings.append(vote(K, np.concatenate(latents, axis=1), iteration))
         labellings = [lab for lab in labellings if lab is not None]
@@ -396,12 +480,9 @@ def spc_train(
             stall += 1
         last = stall >= config.plateau_patience or iteration == config.max_iterations - 1
 
-        tasks = [
-            functools.partial(member_task, j, iteration, latents[j], result, last) for j in range(K)
-        ]
-        steps = _fan_out(tasks, workers)
-        losses = [loss for loss, _ in steps]
-        outcomes = [outcome for _, outcome in steps]
+        train = functools.partial(train_unit, latents=latents, result=result, last=last)
+        rounds = _member_round(train, None if last else vote_on(iteration + 1), K, workers)
+        losses = [loss for (loss, _), _ in rounds]
         history.append(
             IterationRecord(
                 iteration=iteration,

@@ -482,6 +482,28 @@ def test_run_exits_3_when_a_member_diverges(tmp_path, capsys, monkeypatch, stack
     assert no_stage_leftovers(tmp_path)
 
 
+@pytest.mark.parametrize("workers", ["1", "2", "3"])
+def test_run_names_the_lowest_diverged_member_at_any_worker_count(tmp_path, capsys, monkeypatch, workers):
+    # members 1 and 3 both diverge in the first round; the round ends before
+    # its errors are raised, so member 1's is the one reported
+    build = pipeline.build_members
+
+    def poisoned(dataset, config):
+        members = build(dataset, config)
+        for j in (1, 3):
+            members[j].encoder.weights[0][0, 0] = np.nan
+        return members
+
+    monkeypatch.setattr(pipeline, "build_members", poisoned)
+    ini = SMALL_INI.replace("n_members = 2", "n_members = 4").replace("pretrain_epochs = 10", "pretrain_epochs = 0")
+    cfg = write(tmp_path / "c.ini", ini)
+    out = run_dir(tmp_path)
+    assert main(["run", "--config", cfg, "--out", out, "--workers", workers]) == EXIT_NUMERIC
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["numeric error: non-finite encoder activations (member 1)"]
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize(
     "command, ini",
     [

@@ -1,5 +1,6 @@
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -421,7 +422,8 @@ def test_spc_train_last_iteration_does_not_train():
 
 
 def test_spc_train_makes_one_fan_out_per_iteration(monkeypatch):
-    # pretraining with the encode and vote for iteration 0, then one per iteration
+    # pretraining with the encode and vote for iteration 0, then one per
+    # iteration, each running min(workers, K) copies of one worker loop
     calls = []
     fan_out = pipeline._fan_out
 
@@ -433,7 +435,90 @@ def test_spc_train_makes_one_fan_out_per_iteration(monkeypatch):
     cfg = small_config(n_members=3, max_iterations=3, plateau_patience=5)
     _, history, _ = spc_train(small_blobs(), cfg, workers=2)
     assert len(history) == 3
-    assert calls == [3] * (len(history) + 1)
+    assert calls == [2] * (len(history) + 1)
+
+
+def test_at_most_one_fit_runs_at_a_time(monkeypatch):
+    # two fits in two threads run slower than one after the other, so a free
+    # worker trains the next member instead of starting a second fit
+    ds = small_blobs()
+    cfg = small_config(n_members=5, max_iterations=3, plateau_patience=5)
+    final_serial, hist_serial, members_serial = spc_train(ds, cfg, workers=1)
+    cluster = pipeline._cluster
+    lock = threading.Lock()
+    in_flight = []
+    peak = [0]
+
+    def counted(*args):
+        with lock:
+            in_flight.append(None)
+            peak[0] = max(peak[0], len(in_flight))
+        try:
+            time.sleep(0.01)
+            return cluster(*args)
+        finally:
+            with lock:
+                in_flight.pop()
+
+    monkeypatch.setattr(pipeline, "_cluster", counted)
+    for workers in (2, 3, 5):
+        final, history, members = spc_train(ds, cfg, workers=workers)
+        assert peak == [1]
+        assert np.array_equal(final.labels, final_serial.labels)
+        assert history == hist_serial
+        assert all(unchanged(m, snapshot(s)) for m, s in zip(members, members_serial))
+
+
+def test_member_round_under_a_short_switch_interval():
+    # more workers than cores, switching threads every microsecond: each fit
+    # sees its own member's work result, and no two fits overlap
+    lock = threading.Lock()
+    in_flight = []
+    peak = [0]
+
+    def fit(j, step):
+        with lock:
+            in_flight.append(j)
+            peak[0] = max(peak[0], len(in_flight))
+        time.sleep(0)
+        with lock:
+            in_flight.remove(j)
+        return j, step
+
+    out = []
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(
+            target=lambda: out.append(pipeline._member_round(lambda j: j * j, fit, 40, 8)), daemon=True
+        )
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(saved)
+    assert not runner.is_alive()
+    assert out == [[[j * j, (j, j * j)] for j in range(40)]]
+    assert peak == [1]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_member_round_raises_the_lowest_failing_members_error_after_the_round(workers):
+    worked, fitted = [], []
+
+    def work(j):
+        worked.append(j)
+        if j in (3, 1):
+            raise NumericError("diverged")
+        return j
+
+    def fit(j, step):
+        fitted.append(j)
+        return step
+
+    with pytest.raises(NumericError, match=r"^diverged \(member 1\)$"):
+        pipeline._member_round(work, fit, 5, workers)
+    assert sorted(worked) == [0, 1, 2, 3, 4]
+    assert sorted(fitted) == [0, 2, 4]
 
 
 def test_spc_train_without_truth_labels():
