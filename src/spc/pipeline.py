@@ -20,11 +20,13 @@ so a round's vote is cast at the end of the previous round.  The last
 round only takes the losses.  Worker threads share a round's units, and at
 most one fit runs at a time (see _member_round).  The calling thread keeps
 what reads every member: the concatenated voter, the consensus, the
-stopping rule and the sum of the members' losses.
+stopping rule and the sum of the members' losses.  The whole run, in every
+thread, computes at one BLAS thread (see _one_blas_thread).
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import glob
@@ -179,8 +181,11 @@ def _openblas_threads():
     return None
 
 
-# held by a multi-worker fan-out for its whole run, so concurrent fan-outs
-# take turns and each saves and restores the process-wide BLAS thread count
+# held by spc_train for its whole run, with numpy's bundled OpenBLAS at one
+# thread: BLAS threads inside each worker thread would only compete for the
+# cores, and one count makes every product round the same at any worker
+# count, the calling thread's included.  Concurrent runs take turns, and each
+# restores the process-wide BLAS thread count it found.
 _fan_out_lock = threading.Lock()
 
 
@@ -193,33 +198,29 @@ def _worker_count(workers: int | None) -> int:
     return workers
 
 
-def _fan_out(tasks: list, workers: int | None) -> list:
-    """Run the closures, possibly in a thread pool; results in task order.
-
-    workers None means one thread per core.  With more than one worker thread
-    BLAS runs single-threaded meanwhile: BLAS threads started inside each
-    worker thread would oversubscribe the cores, and the worker threads are
-    the parallelism.  Multi-worker fan-outs run one at a time, so no task may
-    start a multi-worker fan-out of its own; none does.  Outputs do not
-    depend on either thread count; the tests compare runs at different
-    worker counts byte for byte.
-    """
-    workers = min(_worker_count(workers), len(tasks))
-    if workers <= 1:
-        return [task() for task in tasks]
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold _fan_out_lock and numpy's bundled OpenBLAS at one thread; any other BLAS is left alone."""
     get_threads, set_threads = _openblas_threads() or (lambda: None, lambda n: None)
     with _fan_out_lock:
         saved = get_threads()
         set_threads(1)
         try:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(task) for task in tasks]
-                return [f.result() for f in futures]
+            yield
         finally:
             set_threads(saved)
 
 
-def _member_round(work, fit, n_members: int, workers: int | None) -> list:
+def _fan_out(tasks: list, workers: int) -> list:
+    """Run the closures, inline for one worker, else in a pool of workers threads; results in task order."""
+    if workers <= 1:
+        return [task() for task in tasks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(task) for task in tasks]
+        return [f.result() for f in futures]
+
+
+def _member_round(work, fit, n_members: int, workers: int) -> list:
     """One round of member units; [work(j), fit(j, work(j))] for each member j, in order.
 
     Member j's work unit work(j) runs before its fit unit fit(j, work(j)).
@@ -280,7 +281,7 @@ def _member_round(work, fit, n_members: int, workers: int | None) -> list:
                         ready.append(j)
                 cond.notify_all()
 
-    loops = min(_worker_count(workers), n_members)
+    loops = min(workers, n_members)
     _fan_out([worker] * loops, loops)
     for j, exc in enumerate(errors):
         if isinstance(exc, SpcError):
@@ -388,23 +389,20 @@ def spc_train(
     """Run the complete selective pseudo-label loop.
 
     Returns (final labelling, per-iteration history, trained members).  The
-    points must lie in [-1, 1].  In the first round, member j's work unit
-    pretrains member j on its training stream and encodes it without noise,
-    and its fit unit clusters the latents for iteration 0.  Each iteration
-    then forms the consensus of those votes and records it, and runs one
-    round in which member j's work unit, on member j's own streams, takes
-    member j's loss on that consensus, then (unless this is the last
-    iteration) trains for loop_epochs on the selective objective with the
-    decoder frozen and encodes, and its fit unit clusters for the next
-    iteration.  The last iteration's round has no fit units.  workers
-    threads (None: one per core) share a round's units, and at most one fit
-    runs at a time; results do not depend on the thread count.  The voters
+    points must lie in [-1, 1].  A run of I iterations makes the I + 1
+    rounds of member units the module docstring describes, each unit on its
+    member's own streams, and workers threads (None: one per core) share a
+    round's units (see _member_round).  From the first round to the last
+    loss the run holds numpy's bundled OpenBLAS at one thread and then
+    restores its count, so no output or checkpoint byte depends on workers;
+    calls from several threads take turns, one run at a time.  The voters
     are the K members and, with concat_member, voter K, which clusters the
     members' latents side by side in the calling thread.  A voter whose
     clusterer fails is dropped from that iteration's vote; the run only
     fails when every voter does.  A member whose unit raises ends the run
     after its round, with the lowest failing member's error, naming it.
     """
+    workers = _worker_count(workers)
     C = dataset.n_clusters
     K = config.n_members
     points = dataset.points
@@ -446,54 +444,55 @@ def spc_train(
             )
         return loss, members[j].encode(points)
 
-    rounds = _member_round(pretrain_unit, vote_on(0), K, workers)
-    history: list = []
-    result = None
-    best_agreed = -1
-    stall = 0
-    for iteration in range(config.max_iterations):
-        latents = [lat for (_, lat), _ in rounds]
-        labellings = [lab for _, lab in rounds]
-        if config.concat_member:
-            labellings.append(vote(K, np.concatenate(latents, axis=1), iteration))
-        labellings = [lab for lab in labellings if lab is not None]
-        if not labellings:
-            raise NumericError(
-                f"clustering failed for every ensemble member at iteration {iteration}"
+    with _one_blas_thread():
+        rounds = _member_round(pretrain_unit, vote_on(0), K, workers)
+        history: list = []
+        result = None
+        best_agreed = -1
+        stall = 0
+        for iteration in range(config.max_iterations):
+            latents = [lat for (_, lat), _ in rounds]
+            labellings = [lab for _, lab in rounds]
+            if config.concat_member:
+                labellings.append(vote(K, np.concatenate(latents, axis=1), iteration))
+            labellings = [lab for lab in labellings if lab is not None]
+            if not labellings:
+                raise NumericError(
+                    f"clustering failed for every ensemble member at iteration {iteration}"
+                )
+
+            previous = result
+            result = consensus(labellings, C)
+            if previous is not None:
+                result = _rename_to_previous(result, previous.consensus_labels, C)
+            agreed_acc = overall_acc = None
+            if dataset.labels is not None:
+                correct = _aligned_correct(result.consensus_labels, dataset.labels, C)
+                overall_acc = float(correct.mean())
+                if result.n_agreed > 0:
+                    agreed_acc = float(correct[result.agreement].mean())
+
+            if result.n_agreed > best_agreed:
+                best_agreed = result.n_agreed
+                stall = 0
+            else:
+                stall += 1
+            last = stall >= config.plateau_patience or iteration == config.max_iterations - 1
+
+            train = functools.partial(train_unit, latents=latents, result=result, last=last)
+            rounds = _member_round(train, None if last else vote_on(iteration + 1), K, workers)
+            losses = [loss for (loss, _), _ in rounds]
+            history.append(
+                IterationRecord(
+                    iteration=iteration,
+                    n_agreed=result.n_agreed,
+                    agreed_accuracy=agreed_acc,
+                    overall_accuracy=overall_acc,
+                    mean_loss=sum(losses) / K,
+                )
             )
-
-        previous = result
-        result = consensus(labellings, C)
-        if previous is not None:
-            result = _rename_to_previous(result, previous.consensus_labels, C)
-        agreed_acc = overall_acc = None
-        if dataset.labels is not None:
-            correct = _aligned_correct(result.consensus_labels, dataset.labels, C)
-            overall_acc = float(correct.mean())
-            if result.n_agreed > 0:
-                agreed_acc = float(correct[result.agreement].mean())
-
-        if result.n_agreed > best_agreed:
-            best_agreed = result.n_agreed
-            stall = 0
-        else:
-            stall += 1
-        last = stall >= config.plateau_patience or iteration == config.max_iterations - 1
-
-        train = functools.partial(train_unit, latents=latents, result=result, last=last)
-        rounds = _member_round(train, None if last else vote_on(iteration + 1), K, workers)
-        losses = [loss for (loss, _), _ in rounds]
-        history.append(
-            IterationRecord(
-                iteration=iteration,
-                n_agreed=result.n_agreed,
-                agreed_accuracy=agreed_acc,
-                overall_accuracy=overall_acc,
-                mean_loss=sum(losses) / K,
-            )
-        )
-        if last:
-            break
+            if last:
+                break
 
     final = Labelling(labels=result.consensus_labels.copy(), n_clusters=C)
     return final, history, members

@@ -52,9 +52,10 @@ ROWS = (128, 32, 800)
 def blas_fingerprint(get_threads, set_threads) -> str:
     """sha256 of x @ W.T, gz.T @ x and gz @ W for every layer shape and row count.
 
-    The products are taken at one BLAS thread and at the default count, the
-    two counts a canonical run may use.  k-means needs no probe: _nearest
-    makes its labels independent of BLAS rounding.
+    A run now computes at one BLAS thread only.  The products are still
+    taken at the default count too, so that BLAS_FINGERPRINT, recorded with
+    both, keeps matching.  k-means needs no probe: _nearest makes its labels
+    independent of BLAS rounding.
     """
     rng = np.random.default_rng(0)
     operands = []
