@@ -17,11 +17,12 @@ pretrains member j; each iteration's takes member j's loss on that
 iteration's consensus and trains member j.  Either way it then encodes
 member j, and the fit unit clusters those latents for the next iteration,
 so a round's vote is cast at the end of the previous round.  The last
-round only takes the losses.  Worker threads share a round's units, and at
-most one fit runs at a time (see _member_round).  The calling thread keeps
-what reads every member: the concatenated voter, the consensus, the
-stopping rule and the sum of the members' losses.  The whole run, in every
-thread, computes at one BLAS thread (see _one_blas_thread).
+round only takes the losses.  Each member is one task of its round's
+fan-out, and a task that finds no fit running runs the queued fits, so at
+most one runs at a time (see _member_round).  The calling thread keeps what
+reads every member: the concatenated voter, the consensus, the stopping
+rule and the sum of the members' losses.  The whole run, in every thread,
+computes at one BLAS thread (see _one_blas_thread).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import functools
 import glob
 import logging
 import os
+import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -225,64 +227,46 @@ def _member_round(work, fit, n_members: int, workers: int) -> list:
 
     Member j's work unit work(j) runs before its fit unit fit(j, work(j)).
     fit None means the round has no fit units, and each fit result is None.
-    min(workers, n_members) copies of one worker loop share the units in one
-    fan-out.  A free worker takes the lowest ready fit unit if no fit is
-    running, else starts the next member's work unit, else waits.  So at most
-    one fit runs at a time: a k-means fit at benchmark scale is a long run of
-    small numpy calls that hold the interpreter lock, so two fits in two
-    threads take longer than one after the other, while a fit beside a
-    member's training costs that training little.  One worker runs each
-    member's work and then its fit, in member order.  A member whose unit
-    raises gets no further unit, and once the round ends the lowest failing
-    member's error is raised.
+    Each member is one task of one fan-out on min(workers, n_members)
+    threads.  The task runs the member's work, queues its fit, and runs the
+    queued fits, lowest member first, if no other task is running fits;
+    otherwise it ends, and its thread starts the next member's work.  So at
+    most one fit runs at a time, and no thread waits for one: a k-means fit
+    at benchmark scale is a long run of small numpy calls that hold the
+    interpreter lock, so two fits in two threads take longer than one after
+    the other, while a fit beside a member's training costs that training
+    little.  One worker runs each member's work and then its fit, in member
+    order.  A member whose unit raises gets no further unit, and once the
+    round ends the lowest failing member's error is raised.
     """
     results = [[None, None] for _ in range(n_members)]
     errors = [None] * n_members
-    ready = []  # members whose work is done and whose fit has not started
-    cond = threading.Condition()
-    next_work = working = 0
-    fitting = False
+    ready = queue.PriorityQueue()  # members whose work is done and whose fit has not started
+    fitting = threading.Lock()
 
-    def take():
-        """(member, is_fit) of the next unit to run, or None when none is left."""
-        nonlocal next_work, working, fitting
-        with cond:
-            while True:
-                if ready and not fitting:
-                    fitting = True
-                    j = min(ready)
-                    ready.remove(j)
-                    return j, True
-                if next_work < n_members:
-                    next_work += 1
-                    working += 1
-                    return next_work - 1, False
-                if not ready and not working:
-                    return None
-                cond.wait()
+    def task(j):
+        try:
+            results[j][0] = work(j)
+        except Exception as exc:  # raised for the lowest failing member after the round
+            errors[j] = exc
+            return
+        if fit is None:
+            return
+        ready.put(j)
+        # No fit is stranded: a task queues its member before it tries the
+        # lock, so if the try fails, the holder's check after it releases
+        # sees that member, and if it succeeds, the task fits it itself.
+        # Only the holder takes from the queue, so ready.get never waits.
+        while not ready.empty() and fitting.acquire(blocking=False):
+            while not ready.empty():
+                i = ready.get()
+                try:
+                    results[i][1] = fit(i, results[i][0])
+                except Exception as exc:
+                    errors[i] = exc
+            fitting.release()
 
-    def worker():
-        nonlocal working, fitting
-        while (unit := take()) is not None:
-            j, is_fit = unit
-            try:
-                if is_fit:
-                    results[j][1] = fit(j, results[j][0])
-                else:
-                    results[j][0] = work(j)
-            except Exception as exc:  # raised for the lowest failing member after the round
-                errors[j] = exc
-            with cond:
-                if is_fit:
-                    fitting = False
-                else:
-                    working -= 1
-                    if fit is not None and errors[j] is None:
-                        ready.append(j)
-                cond.notify_all()
-
-    loops = min(workers, n_members)
-    _fan_out([worker] * loops, loops)
+    _fan_out([functools.partial(task, j) for j in range(n_members)], min(workers, n_members))
     for j, exc in enumerate(errors):
         if isinstance(exc, SpcError):
             raise type(exc)(f"{exc} (member {j})") from exc
@@ -391,8 +375,8 @@ def spc_train(
     Returns (final labelling, per-iteration history, trained members).  The
     points must lie in [-1, 1].  A run of I iterations makes the I + 1
     rounds of member units the module docstring describes, each unit on its
-    member's own streams, and workers threads (None: one per core) share a
-    round's units (see _member_round).  From the first round to the last
+    member's own streams, and workers threads (None: one per core) run a
+    round's member tasks (see _member_round).  From the first round to the last
     loss the run holds numpy's bundled OpenBLAS at one thread and then
     restores its count, so no output or checkpoint byte depends on workers;
     calls from several threads take turns, one run at a time.  The voters

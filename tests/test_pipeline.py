@@ -423,7 +423,7 @@ def test_spc_train_last_iteration_does_not_train():
 
 def test_spc_train_makes_one_fan_out_per_iteration(monkeypatch):
     # pretraining with the encode and vote for iteration 0, then one per
-    # iteration, each running min(workers, K) copies of one worker loop
+    # iteration, each with one task per member
     calls = []
     fan_out = pipeline._fan_out
 
@@ -435,7 +435,7 @@ def test_spc_train_makes_one_fan_out_per_iteration(monkeypatch):
     cfg = small_config(n_members=3, max_iterations=3, plateau_patience=5)
     _, history, _ = spc_train(small_blobs(), cfg, workers=2)
     assert len(history) == 3
-    assert calls == [2] * (len(history) + 1)
+    assert calls == [3] * (len(history) + 1)
 
 
 def test_at_most_one_fit_runs_at_a_time(monkeypatch):
@@ -499,6 +499,30 @@ def test_member_round_under_a_short_switch_interval():
     assert not runner.is_alive()
     assert out == [[[j * j, (j, j * j)] for j in range(40)]]
     assert peak == [1]
+
+
+def test_a_finished_member_trains_the_next_while_a_fit_runs():
+    # member 1 finishes its work while member 0's fit runs; its thread must
+    # start member 2's work instead of waiting for the fit slot
+    first_fit_started, third_started = threading.Event(), threading.Event()
+    fitted = []
+
+    def work(j):
+        if j == 1:
+            assert first_fit_started.wait(timeout=5)
+        if j == 2:
+            third_started.set()
+        return 10 * j
+
+    def fit(j, step):
+        if j == 0:
+            first_fit_started.set()
+            assert third_started.wait(timeout=5)
+        fitted.append(j)
+        return j, step
+
+    assert pipeline._member_round(work, fit, 3, 2) == [[10 * j, (j, 10 * j)] for j in range(3)]
+    assert fitted == [0, 1, 2]
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -805,10 +829,8 @@ def test_spc_train_rejects_unnormalized_points(monkeypatch):
         spc_train(ds, small_config())
 
 
-def test_fan_out_without_openblas_returns_results_in_task_order(monkeypatch):
-    # _fan_out makes no BLAS call, so any BLAS runs it alike; a pool returns
-    # results in task order even when the first task ends last
-    monkeypatch.setattr(pipeline, "_openblas_threads", lambda: None)
+def test_fan_out_returns_results_in_task_order():
+    # a pool returns results in task order even when the first task ends last
     release = threading.Event()
 
     def task(i):
