@@ -26,6 +26,7 @@ import argparse
 import configparser
 import contextlib
 import csv
+import ctypes
 import dataclasses
 import json
 import logging
@@ -247,7 +248,8 @@ def build_dataset(args, sections: dict):
         descriptor = {"source": "idx", "images": os.path.abspath(args.images)}
         if args.labels is not None:
             descriptor["labels"] = os.path.abspath(args.labels)
-    ds = normalize(raw)
+    # raw's points were made here and nothing else holds them
+    ds = normalize(raw, copy=False)
     descriptor.update(
         {
             "n_points": ds.n_points,
@@ -463,8 +465,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc's mallopt parameters, and the highest its own moving mmap threshold
+# goes on 64-bit (DEFAULT_MMAP_THRESHOLD_MAX)
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD_MAX = 32 * 2**20
+
+
+def _mallopt():
+    """The C library's mallopt, or None where it has none (not glibc)."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return None
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return mallopt
+
+
+def _keep_freed_blocks() -> None:
+    """Have glibc serve blocks up to 32 MiB from its heap and keep what is freed.
+
+    By default glibc maps each large block on its own and unmaps it when
+    freed, and it trims the free top of its heap past a threshold that only
+    the largest unmapped block so far raises.  A member pass's arrays are
+    sized by its batch or row block, so without this every training step's
+    temporaries are returned to the system and faulted back in by the next
+    one.  A threshold set by hand also stops glibc from moving it.  Without
+    mallopt this does nothing.
+    """
+    mallopt = _mallopt()
+    if mallopt is not None:
+        mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_MAX)
+        mallopt(M_TRIM_THRESHOLD, 2 * MMAP_THRESHOLD_MAX)
+
+
 def main(argv=None) -> int:
     logging.basicConfig(format="%(levelname)s %(message)s")
+    _keep_freed_blocks()
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)

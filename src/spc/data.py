@@ -225,13 +225,16 @@ def make_blobs(spec: BlobSpec) -> Dataset:
     return Dataset(points=points, labels=labels, n_clusters=C)
 
 
-def normalize(dataset: Dataset) -> Dataset:
+def normalize(dataset: Dataset, copy: bool = True) -> Dataset:
     """Affinely map the global [min, max] of the points onto [-1, 1].
 
-    A constant dataset maps to all zeros.  (x - lo) / (hi - lo) hits 0 and 1
-    exactly at the endpoints, so the output range is exactly [-1, 1] and a
-    second application is the identity.  Non-finite points, and a range
-    hi - lo too wide for float64, are a DataError.
+    Returns a new Dataset; with copy=False the points are scaled over
+    themselves and ``dataset`` is returned, so only one float64 copy of them
+    is ever held.  A constant dataset maps to all zeros.  (x - lo) / (hi - lo)
+    hits 0 and 1 exactly at the endpoints, so the output range is exactly
+    [-1, 1] and a second application is the identity.  Non-finite points, and
+    a range hi - lo too wide for float64, are a DataError, raised before any
+    point is written.
     """
     pts = dataset.points
     if not np.isfinite(pts).all():
@@ -242,10 +245,15 @@ def normalize(dataset: Dataset) -> Dataset:
         span = hi - lo
     if not np.isfinite(span):
         raise DataError(f"point range [{lo:.6g}, {hi:.6g}] is wider than float64 can hold")
+    if copy:
+        dataset = Dataset(points=pts.copy(), labels=dataset.labels, n_clusters=dataset.n_clusters)
+        pts = dataset.points
     if hi == lo:
-        scaled = np.zeros_like(pts)
-    elif lo == -1.0 and hi == 1.0:
-        scaled = pts.copy()
-    else:
-        scaled = 2.0 * ((pts - lo) / span) - 1.0
-    return Dataset(points=scaled, labels=dataset.labels, n_clusters=dataset.n_clusters)
+        pts.fill(0.0)
+    elif not (lo == -1.0 and hi == 1.0):
+        # 2.0 * ((x - lo) / span) - 1.0, one operation at a time
+        pts -= lo
+        pts /= span
+        pts *= 2.0
+        pts -= 1.0
+    return dataset

@@ -23,6 +23,9 @@ from .errors import DataError, NumericError, SpcError
 LEAKY_SLOPE = 0.01
 CE_CLAMP = 1e-12
 CLASSIFIER_HIDDEN = 25  # fixed width of the classifier's single hidden layer
+# rows per block of the passes over every point (encode, latent_loss), the
+# default batch: their arrays are sized by the block, not by the point count
+ROW_BLOCK = 128
 
 
 def _leaky_relu(z: np.ndarray) -> np.ndarray:
@@ -170,32 +173,38 @@ class AutoencoderMember:
     # ---- forward ops ----
 
     def encode(self, batch: np.ndarray) -> np.ndarray:
-        """Latent codes for a batch, without noise."""
-        latent = self.encoder.forward(np.asarray(batch, dtype=np.float64))
+        """Latent codes for a batch, without noise, ROW_BLOCK rows at a time.
+
+        Each block's codes are those of encoding that block alone.  A batch
+        of at most ROW_BLOCK rows is one block; on a larger batch the codes
+        may differ from one pass over all its rows in their last bits.
+        """
+        batch = np.asarray(batch, dtype=np.float64)
+        latent = np.empty((batch.shape[0], self.latent_dim))
+        for start in range(0, batch.shape[0], ROW_BLOCK):
+            rows = slice(start, start + ROW_BLOCK)
+            latent[rows] = self.encoder.forward(batch[rows])
         if not np.isfinite(latent).all():
             raise NumericError("non-finite encoder activations")
         return latent
 
     # ---- loss with cached forward ----
 
-    def _head_loss(self, latent, batch, labels, agreed, dec_cache=None, cls_cache=None):
-        """The loss of the decoder and classifier heads on given latent codes.
+    def _head_loss(self, latent, batch, labels, agreed, per_point, dec_cache=None, cls_cache=None):
+        """Each row's loss under the decoder and classifier heads, written into per_point.
 
-        Returns (loss, sign, p_t).  p_t is the probability of the consensus
-        label on the agreed rows, None when no row is agreed; the classifier
-        only runs when some point is agreed.  Without caches the
-        reconstruction becomes its own error array and sign is None.  With
-        caches the reconstruction stays cached for backward, and sign is
-        sign(rec - batch) with the agreed rows zeroed, the direction of
-        dL/drec.
+        Returns (sign, p_t).  p_t is the probability of the consensus label
+        on the agreed rows, None when no row is agreed; the classifier only
+        runs when some point is agreed.  Without caches the reconstruction
+        becomes its own error array and sign is None.  With caches the
+        reconstruction stays cached for backward, and sign is sign(rec -
+        batch) with the agreed rows zeroed, the direction of dL/drec.
         """
         rec = self.decoder.forward(latent, cache=dec_cache)
         probs = self.classifier.forward(latent, cache=cls_cache) if agreed.any() else None
         if not (np.isfinite(rec).all() and np.isfinite(latent if probs is None else probs).all()):
             raise NumericError("non-finite activations in forward pass")
 
-        B, n = batch.shape[0], self.input_dim
-        per_point = np.zeros(B)
         p_t = sign = None
         if probs is not None:
             p_t = probs[agreed, labels[agreed]]
@@ -210,8 +219,8 @@ class AutoencoderMember:
         # a row's sum does not depend on the other rows, so summing every row
         # and keeping the disagreed ones gives the bits of summing the subset
         row_l1 = np.abs(err, out=err).sum(axis=1)
-        per_point[~agreed] = row_l1[~agreed] / n
-        return float(per_point.sum() / B), sign, p_t
+        per_point[~agreed] = row_l1[~agreed] / self.input_dim
+        return sign, p_t
 
     def latent_loss(
         self,
@@ -222,13 +231,21 @@ class AutoencoderMember:
     ) -> float:
         """forward_loss of a batch whose latent codes are given; caches nothing.
 
-        With latent = encode(batch) this equals forward_loss(batch, ...) bitwise.
+        The heads run ROW_BLOCK rows at a time, and the per-point losses are
+        summed once, over the whole batch.  With latent = encode(batch) on a
+        batch of at most ROW_BLOCK rows this equals forward_loss(batch, ...)
+        bitwise.
         """
         batch = np.asarray(batch, dtype=np.float64)
         latent = np.asarray(latent, dtype=np.float64)
         labels = np.asarray(consensus_labels, dtype=np.int64)
         agreed = np.asarray(agreement_flags, dtype=bool)
-        return self._head_loss(latent, batch, labels, agreed)[0]
+        B = batch.shape[0]
+        per_point = np.zeros(B)
+        for start in range(0, B, ROW_BLOCK):
+            rows = slice(start, start + ROW_BLOCK)
+            self._head_loss(latent[rows], batch[rows], labels[rows], agreed[rows], per_point[rows])
+        return float(per_point.sum() / B)
 
     def forward_loss(
         self,
@@ -255,7 +272,8 @@ class AutoencoderMember:
             latent = latent + self.noise_stddev * noise_rng.standard_normal(latent.shape)
         dec_cache: list = []
         cls_cache: list = []
-        loss, sign, p_t = self._head_loss(latent, batch, labels, agreed, dec_cache, cls_cache)
+        per_point = np.zeros(batch.shape[0])
+        sign, p_t = self._head_loss(latent, batch, labels, agreed, per_point, dec_cache, cls_cache)
 
         self._cache = {
             "labels": labels,
@@ -266,7 +284,7 @@ class AutoencoderMember:
             "sign": sign,
             "p_t": p_t,
         }
-        return loss
+        return float(per_point.sum() / batch.shape[0])
 
     def backward(self, train_decoder: bool = True) -> list:
         """Exact gradients of the last forward_loss, as (mlp, [(dW, db) per layer]) pairs.

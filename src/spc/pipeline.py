@@ -353,9 +353,10 @@ def combined_loss(
 ) -> float:
     """The objective summed over members, evaluated noise-free.
 
-    latents[j] must be members[j].encode(batch).  Equals the sum over members
-    of each member's forward_loss, so with all flags zero it reduces to the
-    sum of per-member l1 reconstruction losses.  The sum is taken in member
+    latents[j] must be members[j].encode(batch).  On a batch of at most
+    network.ROW_BLOCK rows it equals the sum over members of each member's
+    forward_loss bitwise, and on any batch with all flags zero it reduces to
+    the sum of per-member l1 reconstruction losses.  The sum is taken in member
     order; spc_train calls it on one member at a time, in that member's work unit.
     """
     losses = (m.latent_loss(z, batch, consensus_labels, agreement_flags) for m, z in zip(members, latents))

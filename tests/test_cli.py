@@ -1,9 +1,11 @@
 import configparser
 import csv
+import ctypes
 import itertools
 import json
 import math
 import os
+import platform
 import re
 import shlex
 import time
@@ -30,6 +32,7 @@ from spc.cli import (
 import spc.cli as cli
 import spc.pipeline as pipeline
 from spc.data import write_idx_images, write_idx_labels
+from spc.network import ROW_BLOCK
 from spc.errors import ConfigError, DataError, NumericError
 
 
@@ -330,6 +333,60 @@ def test_run_metrics_identical_across_reruns_and_workers(tmp_path):
         c1 = (tmp_path / "r1" / "members" / name).read_bytes()
         c2 = (tmp_path / "r2" / "members" / name).read_bytes()
         assert c1 == c2, name
+
+
+# CI's 784-wide run at 410 points: a member's passes over every point end on
+# a 26-row block, and so does each training epoch
+TAIL_BLOCK_INI = """
+[blobs]
+ambient_dim = 784
+centroid_separation = 100.0
+n_clusters = 10
+points_per_cluster = 41
+
+[spc]
+pretrain_epochs = 1
+max_iterations = 2
+"""
+
+
+def test_run_ending_on_a_partial_block_writes_the_same_bytes_at_one_and_two_workers(tmp_path):
+    assert 410 % ROW_BLOCK == 26
+    cfg = write(tmp_path / "c.ini", TAIL_BLOCK_INI)
+    for workers in ("1", "2"):
+        assert main(["run", "--config", cfg, "--out", run_dir(tmp_path, f"w{workers}"), "--workers", workers]) == EXIT_OK
+    rels = ["history.csv", "labels.csv", "metrics.json"] + [f"members/member_{j:02d}.npz" for j in range(5)]
+    for rel in rels:
+        assert (tmp_path / "w1" / rel).read_bytes() == (tmp_path / "w2" / rel).read_bytes(), rel
+    assert len((tmp_path / "w1" / "labels.csv").read_text().splitlines()) == 411
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt's parameters are glibc's")
+def test_glibc_accepts_the_allocator_thresholds():
+    mallopt = cli._mallopt()
+    assert mallopt(cli.M_MMAP_THRESHOLD, cli.MMAP_THRESHOLD_MAX) == 1
+    assert mallopt(cli.M_TRIM_THRESHOLD, 2 * cli.MMAP_THRESHOLD_MAX) == 1
+
+
+class _NoMallopt:
+    """A C library without mallopt."""
+
+
+@pytest.mark.parametrize("libc", ["unloadable", "without-mallopt"])
+def test_run_without_mallopt(tmp_path, monkeypatch, libc):
+    real = ctypes.CDLL
+
+    def cdll(name, *args, **kwargs):
+        if name is not None:
+            return real(name, *args, **kwargs)
+        if libc == "unloadable":
+            raise OSError("no C library")
+        return _NoMallopt()
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert cli._mallopt() is None
+    cfg = write(tmp_path / "c.ini", SMALL_INI)
+    assert main(["run", "--config", cfg, "--out", run_dir(tmp_path), "--workers", "1"]) == EXIT_OK
 
 
 def test_run_seed_flag_overrides_master_seed(tmp_path):

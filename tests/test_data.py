@@ -262,6 +262,30 @@ def test_normalize_range_and_idempotence():
     assert np.array_equal(out.points, again.points)
 
 
+def test_normalize_without_a_copy_writes_the_bits_of_the_copy():
+    # one arithmetic path: scaling over the points gives the bits of the
+    # copy and of the one-expression formula 2 ((x - lo) / span) - 1
+    rng = np.random.default_rng(6)
+    pts = 37.0 + 11.0 * rng.standard_normal((50, 4))
+    before = pts.copy()
+    ds = Dataset(points=pts, labels=None, n_clusters=2)
+    copied = normalize(ds)
+    assert ds.points.tobytes() == before.tobytes()
+    formula = 2.0 * ((before - before.min()) / (before.max() - before.min())) - 1.0
+    assert copied.points.tobytes() == formula.tobytes()
+    assert normalize(ds, copy=False) is ds
+    assert ds.points is pts
+    assert pts.tobytes() == formula.tobytes()
+
+
+def test_normalize_without_a_copy_leaves_rejected_points_as_they_were():
+    pts = np.array([[0.0, 3.0], [np.inf, 1.0]])
+    before = pts.copy()
+    with pytest.raises(DataError, match="non-finite"):
+        normalize(Dataset(points=pts, labels=None, n_clusters=2), copy=False)
+    assert pts.tobytes() == before.tobytes()
+
+
 def test_normalize_constant_dataset():
     ds = Dataset(points=np.full((6, 3), 4.5), labels=None, n_clusters=2)
     out = normalize(ds)

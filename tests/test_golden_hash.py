@@ -106,8 +106,10 @@ PINNED_RUNS_FINGERPRINT = "ef2c22981d3429b85987f272cf2edea65a4a7e9a402123d79fb83
 
 # (stacks, row counts) of a run's GEMMs.  The canonical run's stacks: encoder
 # 50-256-128-10, decoder 10-128-256-50 and classifier 10-25-4; a batch of 128
-# rows, the last batch of 800 points (32 rows), and all 800 rows in encode
-# and the loss evaluation
+# rows and the last batch of 800 points (32 rows), which are also the row
+# blocks of encode and the loss evaluation.  Each shape's last row count, all
+# the points, is computed by no run now that those passes go by blocks; it
+# stays so that the recorded fingerprints keep matching
 CANONICAL_SHAPES = (([50, 256, 128, 10], [10, 128, 256, 50], [10, 25, 4]), (128, 32, 800))
 # the 784-wide run: 784-d stacks, 10 classes, 400 points (a last batch of 16)
 WIDE_SHAPES = (([784, 256, 128, 10], [10, 128, 256, 784], [10, 25, 10]), (128, 16, 400))

@@ -7,6 +7,7 @@ from spc.errors import DataError, NumericError, SpcError
 from spc.network import (
     CE_CLAMP,
     LEAKY_SLOPE,
+    ROW_BLOCK,
     AutoencoderMember,
     Mlp,
     load_member,
@@ -692,17 +693,39 @@ def mnist_member():
     return AutoencoderMember(784, 10, 10, seed=3, noise_stddev=0.08, hidden_widths=(256, 128))
 
 
-def test_latent_loss_footprint_below_one_and_a_half_batches():
-    # the reconstruction becomes the error array: one full-batch array plus
-    # the last hidden layer's activations; the out-of-place passes held 2.33
+def test_encode_and_latent_loss_peak_the_same_at_2_and_16_blocks():
+    # they walk ROW_BLOCK rows at a time, so beyond their N-sized outputs
+    # (the latents, the per-point losses) 16 blocks of points peak within one
+    # block's 784-wide array of 2 blocks
     rng = np.random.default_rng(32)
     m = mnist_member()
-    batch = rng.uniform(-1, 1, size=(800, 784))
+    beyond_outputs = {}
+    for n_blocks in (2, 16):
+        N = n_blocks * ROW_BLOCK
+        batch = rng.uniform(-1, 1, size=(N, 784))
+        latent = m.encode(batch)
+        labels = rng.integers(0, 10, size=N)
+        peaks = [traced_peak(lambda: m.encode(batch)) - latent.nbytes]
+        for flags in (rng.random(N) < 0.6, np.zeros(N, dtype=bool)):
+            peaks.append(traced_peak(lambda: m.latent_loss(latent, batch, labels, flags)) - 8 * N)
+        beyond_outputs[n_blocks] = peaks
+    for few, many in zip(beyond_outputs[2], beyond_outputs[16]):
+        assert abs(many - few) < ROW_BLOCK * 784 * 8, (few, many)
+
+
+def test_blocked_passes_cover_every_row_once():
+    # two full blocks and a 26-row tail: each block's latents are those of
+    # the block alone, and the loss is the mean over all N rows
+    rng = np.random.default_rng(34)
+    m = AutoencoderMember(9, 3, 4, seed=34, noise_stddev=0.1, hidden_widths=(6, 5))
+    N = 2 * ROW_BLOCK + 26
+    batch = rng.uniform(-1, 1, size=(N, 9))
+    labels, flags = rng.integers(0, 4, size=N), rng.random(N) < 0.5
     latent = m.encode(batch)
-    labels = rng.integers(0, 10, size=800)
-    for flags in (rng.random(800) < 0.6, np.zeros(800, dtype=bool)):
-        peak = traced_peak(lambda: m.latent_loss(latent, batch, labels, flags))
-        assert peak < 1.5 * batch.nbytes, peak / batch.nbytes
+    blocks = [m.encoder.forward(batch[s : s + ROW_BLOCK]) for s in range(0, N, ROW_BLOCK)]
+    assert latent.tobytes() == np.concatenate(blocks).tobytes()
+    expect = oracle_loss_and_grads(m, batch, labels, flags)[0]
+    assert m.latent_loss(latent, batch, labels, flags) == pytest.approx(expect, rel=1e-12)
 
 
 @pytest.mark.parametrize(
