@@ -152,12 +152,16 @@ def read_idx_labels(path) -> np.ndarray:
 
 
 def write_idx_images(path, images: np.ndarray) -> None:
-    """Write a (N, rows, cols) uint8 array in IDX image format."""
+    """Write a (N, rows, cols) uint8 array in IDX image format.
+
+    The program only reads IDX; this stays here because perfbench/workloads.py
+    imports it and changes only with the benchmark, and the IDX round-trip tests use it.
+    """
     _write_idx(path, IDX_IMAGE_MAGIC, images)
 
 
 def write_idx_labels(path, labels: np.ndarray) -> None:
-    """Write a (N,) uint8 vector in IDX label format."""
+    """Write a (N,) uint8 vector in IDX label format; kept for the same users as write_idx_images."""
     _write_idx(path, IDX_LABEL_MAGIC, labels)
 
 
@@ -237,10 +241,11 @@ def normalize(dataset: Dataset, copy: bool = True) -> Dataset:
     point is written.
     """
     pts = dataset.points
-    if not np.isfinite(pts).all():
-        raise DataError("dataset contains non-finite entries")
     lo = pts.min()
     hi = pts.max()
+    # a NaN makes min NaN, and an infinity shows in min or max, so no N x n mask is needed
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise DataError("dataset contains non-finite entries")
     with np.errstate(over="ignore"):
         span = hi - lo
     if not np.isfinite(span):

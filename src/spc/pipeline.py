@@ -11,18 +11,19 @@ and the last consensus becomes the final labelling.  The canonical run (every
 default) stops at max_iterations = 12 with agreement still rising, from 427
 to 566 of 800 points.
 
-A run of I iterations makes I + 1 rounds, each one fan-out.  In a round,
-member j has a work unit and then a fit unit.  The first round's work unit
-pretrains member j; each iteration's takes member j's loss on that
-iteration's consensus and trains member j.  Either way it then encodes
-member j, and the fit unit clusters those latents for the next iteration,
-so a round's vote is cast at the end of the previous round.  The last
-round only takes the losses.  Each member is one task of its round's
-fan-out, and a task that finds no fit running runs the queued fits, so at
-most one runs at a time (see _member_round).  The calling thread keeps what
-reads every member: the concatenated voter, the consensus, the stopping
-rule and the sum of the members' losses.  The whole run, in every thread,
-computes at one BLAS thread (see _one_blas_thread).
+Each voter owns one record (_Voter): its network, its training and
+clustering streams, and the latents, labelling and loss its units write.
+A run of I iterations makes I + 1 rounds, each one fan-out in which every
+member has a work unit and then a fit unit, both writing into its record.
+The first round's work unit pretrains the member, each later one takes its
+loss on the iteration's consensus and trains it; either way it then encodes
+the member, and the fit unit clusters those latents for the next vote.  The
+last round only takes the losses.  A task that finds no fit running runs
+the queued fits, so at most one runs at a time (see _member_round).  Between
+rounds the calling thread reads the records: it clusters the concatenated
+voter, forms the consensus, applies the stopping rule and sums the losses.
+The whole run, in every thread, computes at one BLAS thread (see
+_one_blas_thread).
 """
 
 from __future__ import annotations
@@ -158,6 +159,19 @@ def build_members(dataset: Dataset, config: SpcConfig) -> list:
     return members
 
 
+@dataclass
+class _Voter:
+    """One voter's state across rounds, written by its units; net is None for the concatenated voter."""
+
+    name: str
+    net: AutoencoderMember | None
+    train_rng: np.random.Generator
+    cluster_rng: np.random.Generator
+    latents: np.ndarray | None = None
+    labelling: Labelling | None = None
+    loss: float | None = None
+
+
 @functools.cache
 def _openblas_threads():
     """(get, set) of the thread count of numpy's bundled OpenBLAS, or None.
@@ -222,31 +236,27 @@ def _fan_out(tasks: list, workers: int) -> list:
         return [f.result() for f in futures]
 
 
-def _member_round(work, fit, n_members: int, workers: int) -> list:
-    """One round of member units; [work(j), fit(j, work(j))] for each member j, in order.
+def _member_round(members: list, work, fit, workers: int) -> None:
+    """One round of member units: work(m), then fit(m), each writing into member record m.
 
-    Member j's work unit work(j) runs before its fit unit fit(j, work(j)).
-    fit None means the round has no fit units, and each fit result is None.
-    Each member is one task of one fan-out on min(workers, n_members)
-    threads.  The task runs the member's work, queues its fit, and runs the
-    queued fits, lowest member first, if no other task is running fits;
-    otherwise it ends, and its thread starts the next member's work.  So at
-    most one fit runs at a time, and no thread waits for one: a k-means fit
-    at benchmark scale is a long run of small numpy calls that hold the
-    interpreter lock, so two fits in two threads take longer than one after
-    the other, while a fit beside a member's training costs that training
-    little.  One worker runs each member's work and then its fit, in member
-    order.  A member whose unit raises gets no further unit, and once the
-    round ends the lowest failing member's error is raised.
+    fit None means the round has no fit units.  Each member is one task of
+    one fan-out on min(workers, len(members)) threads.  A task runs its
+    member's work, queues its fit and runs the queued fits, lowest member
+    first, unless another task is running them; then it ends, and its thread
+    starts the next member's work.  So at most one fit runs at a time and no
+    thread waits for one: a k-means fit holds the interpreter lock for most of
+    its run, so two fits in two threads take longer than one after the other.
+    One worker runs each member's work and then its fit, in member order.  A
+    member whose unit raises gets no further unit; once the round ends, the
+    lowest failing member's error is raised, naming that member.
     """
-    results = [[None, None] for _ in range(n_members)]
-    errors = [None] * n_members
+    errors = [None] * len(members)
     ready = queue.PriorityQueue()  # members whose work is done and whose fit has not started
     fitting = threading.Lock()
 
     def task(j):
         try:
-            results[j][0] = work(j)
+            work(members[j])
         except Exception as exc:  # raised for the lowest failing member after the round
             errors[j] = exc
             return
@@ -261,18 +271,17 @@ def _member_round(work, fit, n_members: int, workers: int) -> list:
             while not ready.empty():
                 i = ready.get()
                 try:
-                    results[i][1] = fit(i, results[i][0])
+                    fit(members[i])
                 except Exception as exc:
                     errors[i] = exc
             fitting.release()
 
-    _fan_out([functools.partial(task, j) for j in range(n_members)], min(workers, n_members))
+    _fan_out([functools.partial(task, j) for j in range(len(members))], min(workers, len(members)))
     for j, exc in enumerate(errors):
         if isinstance(exc, SpcError):
             raise type(exc)(f"{exc} (member {j})") from exc
         if exc is not None:
             raise exc
-    return results
 
 
 def _check_normalized(points: np.ndarray) -> None:
@@ -345,22 +354,16 @@ def _rename_to_previous(result: ConsensusResult, previous: np.ndarray, n_cluster
 
 
 def combined_loss(
-    members: list,
-    latents: list,
-    batch: np.ndarray,
-    consensus_labels: np.ndarray,
-    agreement_flags: np.ndarray,
+    member: AutoencoderMember, latents: np.ndarray, batch: np.ndarray, labels: np.ndarray, flags: np.ndarray
 ) -> float:
-    """The objective summed over members, evaluated noise-free.
+    """One member's objective, evaluated noise-free; latents must be member.encode(batch).
 
-    latents[j] must be members[j].encode(batch).  On a batch of at most
-    network.ROW_BLOCK rows it equals the sum over members of each member's
+    On a batch of at most network.ROW_BLOCK rows it equals the member's
     forward_loss bitwise, and on any batch with all flags zero it reduces to
-    the sum of per-member l1 reconstruction losses.  The sum is taken in member
-    order; spc_train calls it on one member at a time, in that member's work unit.
+    the member's l1 reconstruction loss.  spc_train calls it in the member's
+    work unit and sums the members' losses in member order.
     """
-    losses = (m.latent_loss(z, batch, consensus_labels, agreement_flags) for m, z in zip(members, latents))
-    return float(sum(losses))
+    return float(member.latent_loss(latents, batch, labels, flags))
 
 
 # ---- the full loop --------------------------------------------------------
@@ -374,15 +377,14 @@ def spc_train(
     """Run the complete selective pseudo-label loop.
 
     Returns (final labelling, per-iteration history, trained members).  The
-    points must lie in [-1, 1].  A run of I iterations makes the I + 1
-    rounds of member units the module docstring describes, each unit on its
-    member's own streams, and workers threads (None: one per core) run a
-    round's member tasks (see _member_round).  From the first round to the last
-    loss the run holds numpy's bundled OpenBLAS at one thread and then
-    restores its count, so no output or checkpoint byte depends on workers;
-    calls from several threads take turns, one run at a time.  The voters
-    are the K members and, with concat_member, voter K, which clusters the
-    members' latents side by side in the calling thread.  A voter whose
+    points must lie in [-1, 1].  The voters are the K members and, with
+    concat_member, voter K, which clusters the members' latents side by side
+    in the calling thread; each has the record and streams the module
+    docstring describes.  workers threads (None: one per core) run a round's
+    member tasks (see _member_round).  From the first round to the last loss
+    the run holds numpy's bundled OpenBLAS at one thread and then restores
+    its count, so no output or checkpoint byte depends on workers; calls
+    from several threads take turns, one run at a time.  A voter whose
     clusterer fails is dropped from that iteration's vote; the run only
     fails when every voter does.  A member whose unit raises ends the run
     after its round, with the lowest failing member's error, naming it.
@@ -392,59 +394,54 @@ def spc_train(
     K = config.n_members
     points = dataset.points
     _check_normalized(points)
-    members = build_members(dataset, config)
     # voter K takes the next stream index, so its streams never collide with
     # a real member's; its training stream goes unused
-    _, train_rngs, cluster_rngs = zip(*(_member_streams(config, j) for j in range(K + config.concat_member)))
+    nets = build_members(dataset, config) + [None] * config.concat_member
+    voters = [
+        _Voter(f"member {j}" if j < K else "concatenated member", net, *_member_streams(config, j)[1:])
+        for j, net in enumerate(nets)
+    ]
+    members = voters[:K]
 
-    def vote(j, latents, iteration):
-        """Voter j's labelling for the iteration, or None when its clusterer fails."""
-        # voter j's own stream, so neither voter order nor thread schedule moves the seed
-        seed = int(cluster_rngs[j].integers(2**63))
+    def vote(v, iteration):
+        """Voter v's labelling of its latents for the iteration, None when its clusterer fails."""
+        # the voter's own stream, so neither voter order nor thread schedule moves the seed
+        seed = int(v.cluster_rng.integers(2**63))
         try:
-            return _cluster(latents, C, seed, config.clusterer)
+            v.labelling = _cluster(v.latents, C, seed, config.clusterer)
         except NumericError as exc:
-            voter = f"member {j}" if j < K else "concatenated member"
-            logger.warning("%s clustering failed at iteration %d: %s", voter, iteration, exc)
-            return None
+            logger.warning("%s clustering failed at iteration %d: %s", v.name, iteration, exc)
+            v.labelling = None
 
-    def vote_on(iteration):
-        """The fit unit of a round: a member's vote on the latents its work unit returned."""
-        return lambda j, step: vote(j, step[1], iteration)
-
-    def pretrain_unit(j):
-        pretrain(members[j], dataset, config, train_rngs[j])
-        return None, members[j].encode(points)
-
-    def train_unit(j, latents, result, last):
-        """Member j's loss on this iteration's consensus, then its training and next latents."""
-        labels, flags = result.consensus_labels, result.agreement
-        loss = combined_loss([members[j]], [latents[j]], points, labels, flags)
-        if last:
-            return loss, None
-        for _ in range(config.loop_epochs):
-            train_epoch(
-                members[j], points, labels, flags, train_rngs[j], config, config.loop_learning_rate,
-                freeze_decoder=True,
-            )
-        return loss, members[j].encode(points)
+    def work(m, result=None, last=False):
+        """Pretrain member m (no result), or take its loss on result and train it; then encode it."""
+        if result is None:
+            pretrain(m.net, dataset, config, m.train_rng)
+        else:
+            labels, flags = result.consensus_labels, result.agreement
+            m.loss = combined_loss(m.net, m.latents, points, labels, flags)
+            if last:
+                return
+            for _ in range(config.loop_epochs):
+                train_epoch(
+                    m.net, points, labels, flags, m.train_rng, config, config.loop_learning_rate,
+                    freeze_decoder=True,
+                )
+        m.latents = m.net.encode(points)
 
     with _one_blas_thread():
-        rounds = _member_round(pretrain_unit, vote_on(0), K, workers)
+        _member_round(members, work, functools.partial(vote, iteration=0), workers)
         history: list = []
         result = None
         best_agreed = -1
         stall = 0
         for iteration in range(config.max_iterations):
-            latents = [lat for (_, lat), _ in rounds]
-            labellings = [lab for _, lab in rounds]
             if config.concat_member:
-                labellings.append(vote(K, np.concatenate(latents, axis=1), iteration))
-            labellings = [lab for lab in labellings if lab is not None]
+                voters[K].latents = np.concatenate([m.latents for m in members], axis=1)
+                vote(voters[K], iteration)
+            labellings = [v.labelling for v in voters if v.labelling is not None]
             if not labellings:
-                raise NumericError(
-                    f"clustering failed for every ensemble member at iteration {iteration}"
-                )
+                raise NumericError(f"clustering failed for every ensemble member at iteration {iteration}")
 
             previous = result
             result = consensus(labellings, C)
@@ -464,20 +461,19 @@ def spc_train(
                 stall += 1
             last = stall >= config.plateau_patience or iteration == config.max_iterations - 1
 
-            train = functools.partial(train_unit, latents=latents, result=result, last=last)
-            rounds = _member_round(train, None if last else vote_on(iteration + 1), K, workers)
-            losses = [loss for (loss, _), _ in rounds]
+            fit = None if last else functools.partial(vote, iteration=iteration + 1)
+            _member_round(members, functools.partial(work, result=result, last=last), fit, workers)
             history.append(
                 IterationRecord(
                     iteration=iteration,
                     n_agreed=result.n_agreed,
                     agreed_accuracy=agreed_acc,
                     overall_accuracy=overall_acc,
-                    mean_loss=sum(losses) / K,
+                    mean_loss=sum(m.loss for m in members) / K,
                 )
             )
             if last:
                 break
 
     final = Labelling(labels=result.consensus_labels.copy(), n_clusters=C)
-    return final, history, members
+    return final, history, [m.net for m in members]

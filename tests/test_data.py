@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -292,11 +293,28 @@ def test_normalize_constant_dataset():
     assert np.all(out.points == 0.0)
 
 
-def test_normalize_rejects_non_finite():
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_normalize_rejects_non_finite(bad):
     pts = np.zeros((4, 2))
-    pts[1, 1] = np.nan
+    pts[1, 1] = bad
     with pytest.raises(DataError, match="non-finite"):
         normalize(Dataset(points=pts, labels=None, n_clusters=2))
+
+
+def test_normalize_in_place_allocates_nothing_the_size_of_the_points():
+    # a finiteness mask alone would take N * n bytes
+    pts = 37.0 + 11.0 * np.random.default_rng(7).standard_normal((2000, 784))
+    ds = Dataset(points=pts, labels=None, n_clusters=2)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        normalize(ds, copy=False)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert ds.points.min() == -1.0 and ds.points.max() == 1.0
+    assert peak < pts.size // 8
 
 
 # pytest's warning capture hides numpy's RuntimeWarnings from capsys, so any

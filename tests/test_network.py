@@ -26,9 +26,8 @@ def zero_grads(mlp):
 
 
 def member_loss(members, batch, labels, flags):
-    """combined_loss with the latents encoded here."""
-    latents = [m.encode(batch) for m in members]
-    return combined_loss(members, latents, batch, labels, flags)
+    """The members' combined_loss summed, with the latents encoded here."""
+    return sum(combined_loss(m, m.encode(batch), batch, labels, flags) for m in members)
 
 
 # ---- loss oracles ----
@@ -561,8 +560,8 @@ def test_latent_loss_equals_forward_loss_and_caches_nothing():
         for m, z in zip(members, latents):
             assert m.latent_loss(z, batch, labels, flags) == m.forward_loss(batch, labels, flags)
             m.sgd_step(m.backward(), 0.0)
-        expect = sum(m.latent_loss(z, batch, labels, flags) for m, z in zip(members, latents))
-        assert combined_loss(members, latents, batch, labels, flags) == expect
+        for m, z in zip(members, latents):
+            assert combined_loss(m, z, batch, labels, flags) == m.latent_loss(z, batch, labels, flags)
         assert all(m._cache is None for m in members)
 
 

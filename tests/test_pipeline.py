@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import spc.pipeline as pipeline
 from spc.clustering import Labelling
 from spc.consensus import ConsensusResult, accuracy, consensus
 from spc.data import BlobSpec, Dataset, make_blobs, normalize
-from spc.errors import ConfigError, DataError, NumericError
+from spc.errors import ConfigError, DataError, NumericError, SpcError
 from spc.pipeline import (
     SpcConfig,
     build_members,
@@ -177,8 +178,7 @@ def test_pretrain_reduces_reconstruction_loss():
         zeros = np.zeros(ds.n_points, dtype=np.int64)
 
         def loss():
-            latents = [m.encode(ds.points) for m in members]
-            return combined_loss(members, latents, ds.points, zeros, zeros)
+            return sum(combined_loss(m, m.encode(ds.points), ds.points, zeros, zeros) for m in members)
 
         before = loss()
         pretrain_all(members, ds, cfg)
@@ -469,35 +469,45 @@ def test_at_most_one_fit_runs_at_a_time(monkeypatch):
         assert all(unchanged(m, snapshot(s)) for m, s in zip(members, members_serial))
 
 
+def records(n):
+    """n stand-ins for member records, each knowing only its index j."""
+    return [SimpleNamespace(j=j) for j in range(n)]
+
+
 def test_member_round_under_a_short_switch_interval():
     # more workers than cores, switching threads every microsecond: each fit
-    # sees its own member's work result, and no two fits overlap
+    # sees its own member's work, and no two fits overlap
     lock = threading.Lock()
     in_flight = []
     peak = [0]
 
-    def fit(j, step):
+    def work(m):
+        m.work = m.j * m.j
+
+    def fit(m):
         with lock:
-            in_flight.append(j)
+            in_flight.append(m.j)
             peak[0] = max(peak[0], len(in_flight))
         time.sleep(0)
+        m.fit = (m.j, m.work)
         with lock:
-            in_flight.remove(j)
-        return j, step
+            in_flight.remove(m.j)
 
+    members = records(40)
     out = []
     saved = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         runner = threading.Thread(
-            target=lambda: out.append(pipeline._member_round(lambda j: j * j, fit, 40, 8)), daemon=True
+            target=lambda: out.append(pipeline._member_round(members, work, fit, 8)), daemon=True
         )
         runner.start()
         runner.join(timeout=60)
     finally:
         sys.setswitchinterval(saved)
     assert not runner.is_alive()
-    assert out == [[[j * j, (j, j * j)] for j in range(40)]]
+    assert out == [None]
+    assert [m.fit for m in members] == [(j, j * j) for j in range(40)]
     assert peak == [1]
 
 
@@ -507,21 +517,23 @@ def test_a_finished_member_trains_the_next_while_a_fit_runs():
     first_fit_started, third_started = threading.Event(), threading.Event()
     fitted = []
 
-    def work(j):
-        if j == 1:
+    def work(m):
+        if m.j == 1:
             assert first_fit_started.wait(timeout=5)
-        if j == 2:
+        if m.j == 2:
             third_started.set()
-        return 10 * j
+        m.work = 10 * m.j
 
-    def fit(j, step):
-        if j == 0:
+    def fit(m):
+        if m.j == 0:
             first_fit_started.set()
             assert third_started.wait(timeout=5)
-        fitted.append(j)
-        return j, step
+        fitted.append(m.j)
+        m.fit = (m.j, m.work)
 
-    assert pipeline._member_round(work, fit, 3, 2) == [[10 * j, (j, 10 * j)] for j in range(3)]
+    members = records(3)
+    assert pipeline._member_round(members, work, fit, 2) is None
+    assert [m.fit for m in members] == [(j, 10 * j) for j in range(3)]
     assert fitted == [0, 1, 2]
 
 
@@ -529,20 +541,37 @@ def test_a_finished_member_trains_the_next_while_a_fit_runs():
 def test_member_round_raises_the_lowest_failing_members_error_after_the_round(workers):
     worked, fitted = [], []
 
-    def work(j):
-        worked.append(j)
-        if j in (3, 1):
+    def work(m):
+        worked.append(m.j)
+        if m.j in (3, 1):
             raise NumericError("diverged")
-        return j
 
-    def fit(j, step):
-        fitted.append(j)
-        return step
+    def fit(m):
+        fitted.append(m.j)
 
     with pytest.raises(NumericError, match=r"^diverged \(member 1\)$"):
-        pipeline._member_round(work, fit, 5, workers)
+        pipeline._member_round(records(5), work, fit, workers)
     assert sorted(worked) == [0, 1, 2, 3, 4]
     assert sorted(fitted) == [0, 2, 4]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_member_round_raises_the_lowest_failing_fits_error_after_the_round(workers):
+    # a fit that raises stops neither another member's work nor its fit
+    worked, fitted = [], []
+
+    def work(m):
+        worked.append(m.j)
+
+    def fit(m):
+        fitted.append(m.j)
+        if m.j in (4, 2):
+            raise SpcError(f"fit {m.j} failed")
+
+    with pytest.raises(SpcError, match=r"^fit 2 failed \(member 2\)$"):
+        pipeline._member_round(records(5), work, fit, workers)
+    assert sorted(worked) == [0, 1, 2, 3, 4]
+    assert sorted(fitted) == [0, 1, 2, 3, 4]
 
 
 def test_spc_train_without_truth_labels():
